@@ -128,6 +128,16 @@ _ALLOWED_SREPR_NAMES = frozenset({
 })
 
 
+# A stored Max/Min is the srepr of an evaluated one, so its arguments are
+# already pairwise irredundant: rebuilding it unevaluated gives the same
+# expression and skips sympy's pairwise redundancy search, which was most
+# of the cost of reading a bound back from the store.
+_AS_STORED = {
+    "Max": lambda *args: sympy.Max(*args, evaluate=False),
+    "Min": lambda *args: sympy.Min(*args, evaluate=False),
+}
+
+
 def expr_from_text(text: str) -> sympy.Expr:
     """Rebuild a sympy expression from its ``srepr`` form (exact inverse).
 
@@ -142,7 +152,7 @@ def expr_from_text(text: str) -> sympy.Expr:
                 f"refusing to deserialize expression containing {name!r} "
                 "(not a known srepr construct)"
             )
-    return sympy.sympify(text)
+    return sympy.sympify(text, locals=_AS_STORED)
 
 
 def _pset_to_pieces(domain: ParamSet) -> list[str]:

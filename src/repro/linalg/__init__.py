@@ -2,7 +2,9 @@
 
 This subpackage is the numerical backbone of the Brascamp-Lieb reasoning in
 :mod:`repro.core`: ranks and kernels of projection maps must be computed
-exactly, so everything is done over ``fractions.Fraction``.
+exactly, so everything is done over ``fractions.Fraction`` — except subspaces
+and lattice closures, which work on canonical primitive-integer bases (see
+:mod:`repro.linalg.subspace`).
 """
 
 from .lattice import SubspaceLattice, build_lattice, subspace_closure

@@ -5,29 +5,31 @@ the lattice of subgroups generated by the projection kernels instead of on all
 subgroups of Z^d.  Working over Q, the kernels are linear subspaces and the
 lattice is the closure under subspace sum and intersection.
 
-``subspace_closure`` mirrors the paper's Algorithm 2, including the timeout
-behaviour: if the closure does not converge within the budget, the *original*
-lattice is returned so the caller simply skips the new projection (a weaker
-but still valid bound).
+``subspace_closure`` mirrors the paper's Algorithm 2 with one deviation: the
+paper drops a candidate projection whose closure does not converge within a
+wall-clock budget; here the only budget is the element cap.  A closure that
+grows past the cap returns the *original* lattice, so the caller simply skips
+the new projection (a weaker but still valid bound), and the outcome is a
+pure function of the inputs.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Iterable
 
 from .. import perf
 from ..sets.memo import MISSING, MemoCache, memo_enabled, register
-from .subspace import Subspace
+from .subspace import IntRows, Subspace, rows_intersection, rows_sum
 
-DEFAULT_TIMEOUT_SECONDS = 2.0
 DEFAULT_MAX_ELEMENTS = 256
 
-# Converged closures keyed on (ambient dim, lattice contents, kernel, cap).
-# Timeout returns are wall-clock dependent and are NEVER cached (memo-key
-# discipline, see repro.sets.memo); size blow-ups are count-based and
-# deterministic, so they are.  Values hold immutable Subspace tuples — a
-# fresh SubspaceLattice is rebuilt per hit because lattices are mutable.
+#: Event counted each time a closure is rejected at its element cap.
+CLOSURE_REJECTED = perf.register_event("linalg.closure_rejected")
+
+# Closures keyed on (ambient dim, lattice contents, kernel, cap).  Both
+# converged closures and size blow-ups are deterministic, so both are
+# cached.  Values hold immutable Subspace tuples — a fresh SubspaceLattice
+# is rebuilt per hit because lattices are mutable.
 _CLOSURE_CACHE = register(MemoCache("linalg.closure", maxsize=8192))
 
 
@@ -51,88 +53,109 @@ class SubspaceLattice:
     def __contains__(self, subspace: Subspace) -> bool:
         return subspace in self.elements
 
-    def copy(self) -> "SubspaceLattice":
-        return SubspaceLattice(self.dim_ambient, self.elements)
-
     def nontrivial_elements(self) -> list[Subspace]:
         """Lattice elements other than {0}, sorted by dimension for determinism."""
         elems = [e for e in self.elements if not e.is_zero()]
         return sorted(elems, key=lambda e: (e.dim, e.basis))
 
 
+def close_rows(
+    elements: Iterable[IntRows], new: IntRows, max_elements: int
+) -> set[IntRows] | None:
+    """Close ``elements ∪ {new}`` under sum and intersection, on integer bases.
+
+    ``elements`` must already be closed.  Returns the closed set, or ``None``
+    once it holds more than ``max_elements`` bases.  Every pair is first
+    summed: a sum as large as one operand means one contains the other, so
+    the pair yields nothing new; a sum of dimension ``dim U + dim V`` means
+    the intersection is {0}; only the remaining pairs need a kernel.
+
+    Whether the cap is exceeded does not depend on the exploration order:
+    the working set only ever holds elements of the full closure, and the
+    loop stops only when it is closed or over the cap.
+    """
+    closed = set(elements)
+    closed.add(new)
+    if len(closed) > max_elements:
+        return None
+    worklist = [new]
+    while worklist:
+        current = worklist.pop()
+        dim_current = len(current)
+        for other in list(closed):
+            dim_other = len(other)
+            total = rows_sum(current, other)
+            dim_total = len(total)
+            if dim_total == dim_other or dim_total == dim_current:
+                continue
+            if dim_total == dim_current + dim_other:
+                meet: IntRows = ()
+            else:
+                meet = rows_intersection(current, other)
+            for candidate in (total, meet):
+                if candidate not in closed:
+                    closed.add(candidate)
+                    worklist.append(candidate)
+                    if len(closed) > max_elements:
+                        return None
+    return closed
+
+
 @perf.timed("linalg")
 def subspace_closure(
     lattice: SubspaceLattice,
     new_kernel: Subspace,
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> tuple[SubspaceLattice, bool]:
     """Algorithm 2: tentatively add ``new_kernel`` and re-close the lattice.
 
-    Returns ``(lattice, changed)``.  On timeout (or size blow-up) the original
-    lattice is returned unchanged with ``changed = False``, exactly like the
-    paper's implementation drops the candidate projection.
+    Returns ``(lattice, changed)``.  On a size blow-up the original lattice
+    is returned unchanged with ``changed = False``, exactly like the paper's
+    implementation drops the candidate projection, and the
+    ``linalg.closure_rejected`` event is counted (on memo hits too).
 
-    Converged closures (and deterministic size blow-ups) are memoised on the
-    lattice contents: per-path incremental lattices repeat the same closure
-    states across statements, which makes this the single most valuable
-    cache in the derivation pipeline.
+    Closures are memoised on the lattice contents: per-path incremental
+    lattices repeat the same closure states across statements, which makes
+    this the single most valuable cache in the derivation pipeline.
     """
     if new_kernel.dim_ambient != lattice.dim_ambient:
         raise ValueError("kernel in wrong ambient dimension")
     if new_kernel in lattice and len(lattice) > 0:
         return lattice, False
 
-    # Keys use Subspace.content_key() — int-pair tuples, not Fraction bases —
-    # because Fraction hashing is expensive enough to dominate cache lookups.
+    known = {element.rows: element for element in lattice.elements}
     key = None
     if memo_enabled():
-        key = (
-            lattice.dim_ambient,
-            frozenset(element.content_key() for element in lattice.elements),
-            new_kernel.content_key(),
-            max_elements,
-        )
+        key = (lattice.dim_ambient, frozenset(known), new_kernel.rows, max_elements)
         cached = _CLOSURE_CACHE.lookup(key)
         if cached is not MISSING:
             elements, changed = cached
             if not changed:
+                perf.record_event(CLOSURE_REJECTED)
                 return lattice, False
             return SubspaceLattice(lattice.dim_ambient, elements), True
 
-    deadline = time.monotonic() + timeout_seconds
-    updated = lattice.copy()
-    updated.elements.add(new_kernel)
-
-    worklist = [new_kernel]
-    while worklist:
-        if len(updated) > max_elements:
-            if key is not None:
-                _CLOSURE_CACHE.put(key, ((), False))
-            return lattice, False
-        if time.monotonic() > deadline:
-            return lattice, False  # wall-clock dependent: do not cache
-        current = worklist.pop()
-        for other in list(updated.elements):
-            for candidate in (current.intersection(other), current.sum(other)):
-                if candidate not in updated.elements:
-                    updated.elements.add(candidate)
-                    worklist.append(candidate)
-                    if len(updated) > max_elements:
-                        if key is not None:
-                            _CLOSURE_CACHE.put(key, ((), False))
-                        return lattice, False
+    closed = close_rows(known, new_kernel.rows, max_elements)
+    if closed is None:
+        perf.record_event(CLOSURE_REJECTED)
+        if key is not None:
+            _CLOSURE_CACHE.put(key, ((), False))
+        return lattice, False
+    # Only accepted lattices go back to Subspace objects; inputs are reused.
+    known[new_kernel.rows] = new_kernel
+    ambient = lattice.dim_ambient
+    elements = tuple(
+        known.get(rows) or Subspace.from_rows(ambient, rows) for rows in closed
+    )
     if key is not None:
-        _CLOSURE_CACHE.put(key, (tuple(updated.elements), True))
-    return updated, True
+        _CLOSURE_CACHE.put(key, (elements, True))
+    return SubspaceLattice(ambient, elements), True
 
 
 def build_lattice(
-    dim_ambient: int,
-    kernels: Iterable[Subspace],
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
+    dim_ambient: int, kernels: Iterable[Subspace]
 ) -> tuple[SubspaceLattice, list[Subspace]]:
-    """Build the lattice generated by ``kernels``, skipping any that time out.
+    """Build the lattice generated by ``kernels``, skipping any rejected at the cap.
 
     Returns the lattice together with the list of kernels that were actually
     incorporated (in input order).
@@ -140,7 +163,7 @@ def build_lattice(
     lattice = SubspaceLattice(dim_ambient)
     accepted: list[Subspace] = []
     for kernel in kernels:
-        lattice, changed = subspace_closure(lattice, kernel, timeout_seconds)
+        lattice, changed = subspace_closure(lattice, kernel)
         if changed or kernel in lattice:
             accepted.append(kernel)
     return lattice, accepted

@@ -155,6 +155,54 @@ def _rref_reference(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(tuple(row) for row in rows), tuple(pivots)
 
 
+def integer_row(row: Sequence) -> list[int]:
+    """The row scaled by the lcm of its entries' denominators."""
+    fractions = [x if type(x) is Fraction else Fraction(x) for x in row]
+    den = 1
+    for x in fractions:
+        den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in fractions]
+
+
+def reduce_integer_rows(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination over the integers.
+
+    Returns the non-zero rows of the reduced matrix — each zero at every
+    other row's pivot column, but not normalised: a pivot keeps whatever
+    sign and scale elimination left it with — and their pivot columns.
+    Dividing each row by its pivot gives the RREF.
+    """
+    rows = [row for row in rows if any(row)]
+    if not rows:
+        return [], []
+    n_rows = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(rows[0])):
+        if r == n_rows:
+            break
+        for i in range(r, n_rows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        prow = rows[r]
+        pivot_val = prow[c]
+        for i in range(n_rows):
+            factor = rows[i][c]
+            if factor and i != r:
+                combined = [x * pivot_val - factor * y for x, y in zip(rows[i], prow)]
+                g = gcd(*combined)
+                rows[i] = [x // g for x in combined] if g > 1 else combined
+        pivots.append(c)
+        r += 1
+    # Rows past the last pivot were eliminated to zero: they are zero at
+    # every pivot column and at every skipped column (all candidate rows
+    # were zero there when it was skipped, and combinations keep that).
+    return rows[:r], pivots
+
+
 def _rref_fraction_free(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     # The RREF of a matrix is invariant under scaling rows by non-zero
     # constants (the row space and row count are unchanged), so every input
@@ -162,58 +210,24 @@ def _rref_fraction_free(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     # fraction-free Gauss-Jordan on machine/big ints — far cheaper than
     # Fraction arithmetic, which pays a gcd per operation — and divide by
     # the pivot only when converting the result back to Fractions.
-    rows: list[list[int]] = []
-    for row in a:
-        den = 1
-        for x in row:
-            den = lcm(den, x.denominator)
-        rows.append([x.numerator * (den // x.denominator) for x in row])
-    n_rows, n_cols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        pivot_row = None
-        for i in range(r, n_rows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        pivot_val = prow[c]
-        for i in range(n_rows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                combined = [x * pivot_val - factor * y for x, y in zip(rows[i], prow)]
-                g = gcd(*combined)
-                rows[i] = [x // g for x in combined] if g > 1 else combined
-        pivots.append(c)
-        r += 1
+    rows, pivots = reduce_integer_rows([integer_row(row) for row in a])
     reduced = []
-    for i, row in enumerate(rows):
-        if i < len(pivots):
-            pivot_val = row[pivots[i]]
-            if pivot_val == 1:
-                # Integer entries: use the shared small-Fraction table.
-                reduced.append(
-                    tuple(
-                        _SMALL_FRACTIONS[x + _SMALL_RANGE]
-                        if -_SMALL_RANGE <= x <= _SMALL_RANGE
-                        else Fraction(x)
-                        for x in row
-                    )
+    for row, c in zip(rows, pivots):
+        pivot_val = row[c]
+        if pivot_val == 1:
+            # Integer entries: use the shared small-Fraction table.
+            reduced.append(
+                tuple(
+                    _SMALL_FRACTIONS[x + _SMALL_RANGE]
+                    if -_SMALL_RANGE <= x <= _SMALL_RANGE
+                    else Fraction(x)
+                    for x in row
                 )
-            else:
-                reduced.append(tuple(Fraction(x, pivot_val) for x in row))
+            )
         else:
-            # Non-pivot rows are identically zero: they are zero at every
-            # pivot column (eliminated) and at every skipped column (all
-            # candidate rows were zero there when the column was skipped,
-            # and row combinations preserve that).
-            reduced.append(tuple(_ZERO for _ in row))
+            reduced.append(tuple(Fraction(x, pivot_val) for x in row))
+    zero_row = tuple(_ZERO for _ in a[0])
+    reduced.extend(zero_row for _ in range(len(a) - len(pivots)))
     return tuple(reduced), tuple(pivots)
 
 

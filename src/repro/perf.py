@@ -34,6 +34,15 @@ reports their hit/miss/size counters next to the timings.  All counters are
 process-wide and lock-guarded (thread pools share them; process pools keep
 per-worker counters that are *not* aggregated — profile with the serial or
 thread executor when attribution matters).
+
+Degradation events
+------------------
+
+A silent degradation — a step that gives up and leaves a weaker but still
+valid bound — is counted under a name via :func:`record_event` (for example
+``linalg.closure_rejected``: a lattice closure dropped at its element cap).
+:func:`snapshot` reports the counts beside the caches, with the same
+per-process caveat.
 """
 
 from __future__ import annotations
@@ -140,6 +149,24 @@ class section:
             entry[2] += elapsed - frame[1]
 
 
+# -- degradation events -----------------------------------------------------
+
+_events: dict[str, int] = {}
+
+
+def register_event(name: str) -> str:
+    """Declare a named event, so reports list it even while its count is 0."""
+    with _lock:
+        _events.setdefault(name, 0)
+    return name
+
+
+def record_event(name: str) -> None:
+    """Count one occurrence of a named event (e.g. a closure rejected at its cap)."""
+    with _lock:
+        _events[name] = _events.get(name, 0) + 1
+
+
 # -- memo-cache registry -----------------------------------------------------
 
 _caches: dict[str, object] = {}
@@ -178,6 +205,7 @@ class PerfSnapshot:
 
     timings: tuple[SubsystemTiming, ...]
     caches: tuple[CacheCounters, ...]
+    events: tuple[tuple[str, int], ...] = ()
 
     @property
     def total_exclusive_s(self) -> float:
@@ -194,6 +222,9 @@ class PerfSnapshot:
             if entry.name == name:
                 return entry
         return None
+
+    def event(self, name: str) -> int:
+        return dict(self.events).get(name, 0)
 
     @property
     def memo_hits(self) -> int:
@@ -220,6 +251,7 @@ class PerfSnapshot:
                 }
                 for c in self.caches
             ],
+            "events": dict(self.events),
         }
 
     def format_table(self, wall_s: float | None = None) -> str:
@@ -251,6 +283,12 @@ class PerfSnapshot:
                 lines.append(
                     f"{c.name:<22} {c.hits:>9} {c.misses:>9} {c.hit_rate:>6.1%} {c.size:>8}"
                 )
+        if self.events:
+            lines.append("")
+            lines.append(f"{'event':<28} {'count':>9}")
+            lines.append("-" * 38)
+            for name, count in self.events:
+                lines.append(f"{name:<28} {count:>9}")
         return "\n".join(lines)
 
 
@@ -276,13 +314,16 @@ def snapshot() -> PerfSnapshot:
                 )
             except Exception:
                 continue
-    return PerfSnapshot(timings, tuple(caches))
+        events = tuple(sorted(_events.items()))
+    return PerfSnapshot(timings, tuple(caches), events)
 
 
 def reset() -> None:
-    """Zero every timer and every registered cache's counters."""
+    """Zero every timer, event count and registered cache's counters."""
     with _lock:
         _totals.clear()
+        for name in _events:
+            _events[name] = 0
         caches = list(_caches.values())
     for cache in caches:
         reset_counters = getattr(cache, "reset_counters", None)

@@ -19,6 +19,7 @@ Encoding conventions (see DESIGN.md):
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,6 +80,8 @@ def _parse_paper_expr(text: str) -> sympy.Expr:
 
 
 _REGISTRY: dict[str, KernelSpec] = {}
+_LOAD_LOCK = threading.Lock()
+_loaded = False
 
 
 def register(spec: KernelSpec) -> KernelSpec:
@@ -107,7 +110,18 @@ def kernel_names() -> list[str]:
 
 
 def _ensure_loaded() -> None:
-    """Import the kernel modules lazily (they self-register)."""
-    if _REGISTRY:
+    """Import the kernel modules lazily (they self-register).
+
+    The registry counts as loaded only once every module has finished
+    importing: a non-empty ``_REGISTRY`` alone may be one thread's import
+    half way through, so concurrent first callers wait on the lock.
+    """
+    global _loaded
+    if _loaded:
         return
-    from . import blas, datamining, solvers, stencils  # noqa: F401
+    with _LOAD_LOCK:
+        if _loaded:
+            return
+        from . import blas, datamining, solvers, stencils  # noqa: F401
+
+        _loaded = True

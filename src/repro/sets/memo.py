@@ -14,7 +14,8 @@ Discipline for memo keys (see DESIGN.md "Set-algebra backends"):
 * cached values must be immutable (tuples, frozen objects, ``bool``) so a
   shared result can never be mutated by one caller under another;
 * never cache a result that depends on wall-clock or resource budgets
-  (``subspace_closure`` timeouts are *not* cached — only converged runs).
+  (lattice closures have none: both converged closures and blow-ups past
+  the element cap are deterministic, and both are cached).
 
 Every cache is process-wide and lock-guarded, keeps hit/miss counters, and
 registers itself with :mod:`repro.perf` so ``python -m repro profile``

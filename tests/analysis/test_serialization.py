@@ -66,6 +66,20 @@ class TestResultRoundTrip:
         assert reloaded.evaluate(instance) == result.evaluate(instance)
         assert sympy.simplify(reloaded.oi_upper_bound() - result.oi_upper_bound()) == 0
 
+    def test_max_and_min_rebuild_exactly(self):
+        # Stored Max/Min are rebuilt without re-evaluation; the result must
+        # still be the very expression that was stored.
+        from repro.core.bounds import expr_from_text
+
+        n, m, s = sympy.symbols("N M S", positive=True, integer=True)
+        for expr in (
+            sympy.Max(n * m / sympy.sqrt(s), n**2 / 2, m - 3),
+            sympy.Min(n, m) + sympy.Max(n, 2) * sympy.floor(m / 3),
+        ):
+            rebuilt = expr_from_text(sympy.srepr(expr))
+            assert rebuilt == expr
+            assert sympy.srepr(rebuilt) == sympy.srepr(expr)
+
     def test_malicious_expression_rejected(self):
         """Deserialization must not eval arbitrary code from a document."""
         data = _analyze("gemm").to_dict()

@@ -83,30 +83,47 @@ class TestLattice:
         assert span((0, 1, 0)) in lattice  # the intersection
         assert Subspace.full(3) in lattice  # the sum
 
-    def test_timeout_returns_original(self):
-        # A cold cache is required: a memoised converged closure is returned
-        # even under a zero budget (known answers beat the degraded fallback).
+    def test_closure_ignores_the_clock(self, monkeypatch):
+        # No wall-clock budget: with a clock that jumps 1000 s per read the
+        # closure still converges to the same lattice, so a closure result
+        # is a pure function of its inputs.
+        import time
+
         from repro.sets import memo
 
-        memo.clear_all()
-        lattice = SubspaceLattice(3, [span((1, 0, 0))])
-        result, changed = subspace_closure(lattice, span((0, 1, 0)), timeout_seconds=0.0)
-        assert not changed
-        assert result is lattice
-
-    def test_timeout_result_is_not_cached(self):
-        from repro.sets import memo
-
-        memo.clear_all()
         lattice = SubspaceLattice(3, [span((1, 0, 0))])
         kernel = span((0, 1, 0))
-        _, changed = subspace_closure(lattice, kernel, timeout_seconds=0.0)
-        assert not changed
-        # The timed-out state must not have been memoised: with a real budget
-        # the same closure converges.
+        memo.clear_all()
+        expected, changed = subspace_closure(lattice, kernel)
+        assert changed
+        ticks = iter(range(0, 10**9, 1000))
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+        memo.clear_all()
         result, changed = subspace_closure(lattice, kernel)
         assert changed
-        assert kernel in result
+        assert result.elements == expected.elements
+
+    def test_rejection_is_a_counted_event(self):
+        # Four lines in general position in Q^3 generate an infinite lattice:
+        # the fourth closure blows past the cap.  Each rejection counts the
+        # event exactly once, whether computed or served from the memo.
+        from repro import perf
+        from repro.linalg.lattice import CLOSURE_REJECTED
+        from repro.sets import memo
+
+        memo.clear_all()
+        lattice, _ = build_lattice(3, [span((1, 0, 0)), span((0, 1, 0)), span((0, 0, 1))])
+        kernel = span((1, 1, 1))
+        for _ in range(2):  # computed, then a memo hit of the cached blow-up
+            before = perf.snapshot().event(CLOSURE_REJECTED)
+            result, changed = subspace_closure(lattice, kernel)
+            assert not changed and result is lattice
+            assert perf.snapshot().event(CLOSURE_REJECTED) == before + 1
+        # An accepted closure and an already-present kernel count nothing.
+        before = perf.snapshot().event(CLOSURE_REJECTED)
+        subspace_closure(SubspaceLattice(3, [span((1, 0, 0))]), span((0, 1, 0)))
+        subspace_closure(lattice, span((1, 0, 0)))
+        assert perf.snapshot().event(CLOSURE_REJECTED) == before
 
     def test_converged_closure_is_memoised(self):
         from repro.sets import memo

@@ -1,5 +1,10 @@
 """Structural tests for every PolyBench kernel encoding."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 import sympy
 
@@ -28,6 +33,37 @@ class TestRegistry:
     def test_get_kernel_roundtrip(self):
         for spec in all_kernels():
             assert get_kernel(spec.name) is spec
+
+    def test_concurrent_first_load_sees_every_kernel(self):
+        # A fresh interpreter, so the registry is cold: 8 threads released
+        # together must each see all 30 kernels, not a half-imported registry.
+        script = textwrap.dedent(
+            """
+            import threading
+            from repro.polybench import kernel_names
+
+            barrier = threading.Barrier(8)
+            counts = []
+
+            def worker():
+                barrier.wait()
+                counts.append(len(kernel_names()))
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            print(counts)
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == str([30] * 8)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -100,6 +100,13 @@ class TestProfile:
         names = [entry["name"] for entry in document["subsystems"]]
         assert "linalg" in names
         assert any(cache["name"] == "linalg.rref" for cache in document["caches"])
+        assert document["events"]["linalg.closure_rejected"] == 0
+
+    def test_closure_rejections_are_reported(self, capsys):
+        # jacobi-2d's kernel lattices blow past the closure cap.
+        assert main(["profile", "--kernels", "jacobi-2d", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["events"]["linalg.closure_rejected"] > 0
 
     def test_output_file_receives_the_table(self, tmp_path, capsys):
         report = tmp_path / "profile.txt"

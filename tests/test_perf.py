@@ -164,3 +164,18 @@ def test_snapshot_to_dict_roundtrips_fields():
     names = [entry["name"] for entry in payload["subsystems"]]
     assert "sets" in names
     assert all({"hits", "misses", "size", "hit_rate"} <= set(c) for c in payload["caches"])
+
+
+def test_events_are_counted_reported_and_reset():
+    name = perf.register_event("test.event_probe")
+    assert perf.snapshot().event(name) == 0
+    perf.record_event(name)
+    perf.record_event(name)
+    snapshot = perf.snapshot()
+    assert snapshot.event(name) == 2
+    assert snapshot.to_dict()["events"][name] == 2
+    table = snapshot.format_table()
+    assert "event" in table and name in table
+    perf.reset()
+    # reset zeroes the count but keeps the name, so reports still list it.
+    assert perf.snapshot().to_dict()["events"][name] == 0
