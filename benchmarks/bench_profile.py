@@ -8,17 +8,20 @@ Two measurements over cold full-suite derivations:
   hit/miss rates for every memo cache.  The tables are written to
   ``benchmarks/out/profile_subsystems.md`` and
   ``benchmarks/out/profile_memo_caches.md`` — this is the data that decided
-  which loops got memoisation and compiled kernels in the first place
+  which loops got memoisation and vectorised kernels in the first place
   (rational linear algebra dominates: the subspace-lattice closure of
   Lemma 3.12 is the derivation's hot loop).
 
 * **Speedup** — the same suite derived cold in two fresh subprocesses: once
-  with every optimisation off (``REPRO_SETS_BACKEND=pure`` restores the
-  reference Fraction/loop implementations, ``REPRO_SETS_MEMO=0`` disables
-  the content-hash caches *and* the on-object constraint canonical-form
-  caching), once with the defaults (auto backend + memo).  The two legs
-  must produce byte-identical bounds — the optimised layer is perf-only —
-  and the fast leg must be >= ``TARGET_SPEEDUP`` times faster
+  with every optimisation off, once with the defaults (kernels + memo).
+  The reference leg's child patches the reference implementations in
+  before deriving (``_REFERENCE_PATCHES``: textbook ``Fraction`` RREF, and
+  the vectorised Fourier-Motzkin and enumeration kernels made to decline,
+  so the pure pair loop and ``enumerate_points_pure`` run) and sets
+  ``REPRO_SETS_MEMO=0``, which disables the content-hash caches *and* the
+  on-object constraint canonical-form caching.  The two legs must produce
+  byte-identical bounds — the optimised layer is perf-only — and the fast
+  leg must be >= ``TARGET_SPEEDUP`` times faster
   (``benchmarks/out/profile_speedup.md``).
 
 Methodology notes: fresh subprocesses for the speedup (in-process
@@ -39,9 +42,18 @@ import pytest
 
 from conftest import write_markdown_table
 
-#: Cold-suite speedup the optimised path (memo + compiled kernels) must
+#: Cold-suite speedup the optimised path (memo + vectorised kernels) must
 #: reach over the reference path on a machine with cores to spare.
 TARGET_SPEEDUP = 1.5
+
+#: Prepended to the reference leg's child: swap in the reference loops.
+_REFERENCE_PATCHES = """
+from repro.linalg import rational
+from repro.sets.backend import NumpySetBackend
+rational._rref_fraction_free = rational._rref_reference
+NumpySetBackend.fm_combine = lambda self, lower, upper: None
+NumpySetBackend.enumerate_points = lambda self, basic_set, params, bound: None
+"""
 
 _CHILD_SNIPPET = """
 import json, time
@@ -62,10 +74,9 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _suite_cold(overrides: dict[str, str]) -> tuple[float, dict[str, str]]:
+def _suite_cold(overrides: dict[str, str], reference: bool = False) -> tuple[float, dict[str, str]]:
     """Cold full-suite derivation in a fresh interpreter; (wall, bounds)."""
     env = dict(os.environ)
-    env.pop("REPRO_SETS_BACKEND", None)
     env.pop("REPRO_SETS_MEMO", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [os.path.join(os.path.dirname(__file__), "..", "src"),
@@ -73,7 +84,7 @@ def _suite_cold(overrides: dict[str, str]) -> tuple[float, dict[str, str]]:
     )
     env.update(overrides)
     output = subprocess.run(
-        [sys.executable, "-c", _CHILD_SNIPPET],
+        [sys.executable, "-c", (_REFERENCE_PATCHES if reference else "") + _CHILD_SNIPPET],
         env=env, check=True, capture_output=True, text=True,
     )
     payload = json.loads(output.stdout.strip().splitlines()[-1])
@@ -127,17 +138,15 @@ def test_subsystem_attribution():
 
 def test_optimised_path_speedup():
     """Cold suite: defaults vs reference path — identical bounds, faster."""
-    slow_s, slow_bounds = _suite_cold(
-        {"REPRO_SETS_BACKEND": "pure", "REPRO_SETS_MEMO": "0"}
-    )
+    slow_s, slow_bounds = _suite_cold({"REPRO_SETS_MEMO": "0"}, reference=True)
     fast_s, fast_bounds = _suite_cold({})
 
     speedup = slow_s / fast_s if fast_s > 0 else 1.0
     write_markdown_table("profile_speedup", [{
-        "leg": "reference (pure backend, memo off)",
+        "leg": "reference (reference loops, memo off)",
         "wall (s)": round(slow_s, 2), "speedup": "1.00x",
     }, {
-        "leg": "optimised (auto backend, memo on)",
+        "leg": "optimised (kernels, memo on)",
         "wall (s)": round(fast_s, 2), "speedup": f"{speedup:.2f}x",
     }])
 

@@ -113,22 +113,15 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     return reduced, list(pivots)
 
 
-def _fraction_free_enabled() -> bool:
-    from ..sets.backend import get_backend
-
-    return getattr(get_backend(), "fraction_free_rref", False)
-
-
 def _rref_uncached(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     if not a:
         return tuple(), ()
-    if _fraction_free_enabled():
-        return _rref_fraction_free(a)
-    return _rref_reference(a)
+    return _rref_fraction_free(a)
 
 
 def _rref_reference(a: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Textbook Gauss-Jordan over ``Fraction`` — the semantic reference."""
+    """Textbook Gauss-Jordan over ``Fraction`` — the test oracle for
+    :func:`_rref_fraction_free` (non-empty ``a`` only)."""
     rows = [list(r) for r in a]
     n_rows, n_cols = len(rows), len(rows[0])
     pivots: list[int] = []

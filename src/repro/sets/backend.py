@@ -1,39 +1,28 @@
-"""Pluggable compiled kernels for the constraint-matrix inner loops.
+"""Vectorised int64 kernels for the constraint-matrix inner loops.
 
-Three backends accelerate the same inner loops; all of them are *perf-only*
-— the pure-Python implementations in :mod:`repro.sets` remain the semantic
-reference, and every backend must produce **byte-identical** results
-(same constraints, same order, same canonical form):
-
-* :class:`PureSetBackend` — the default-correct fallback; declines every
-  query so callers run their reference loops (no dependencies).
-* :class:`NumpySetBackend` — vectorises the Fourier-Motzkin pair
-  combination, the trivially-true redundancy filter on combined rows, the
-  per-row gcd canonicalisation, and concrete point enumeration as int64
-  matrix kernels.  Declines (returns ``None``) whenever exactness cannot be
-  guaranteed: non-integer coefficients, possible int64 overflow, grids past
-  the enumeration limit.
-* :class:`NumbaSetBackend` — the numpy backend with the innermost loops
-  JIT-compiled via `numba <https://numba.pydata.org>`_; used automatically
-  when numba is importable.
-
-Selection mirrors ``repro.rel.backend``: :func:`get_backend` honours the
-``REPRO_SETS_BACKEND`` environment variable (``pure`` / ``numpy`` /
-``numba``) and otherwise auto-selects the best importable backend
-(numba > numpy > pure).
+One engine, no selection: :class:`NumpySetBackend` vectorises the
+Fourier-Motzkin pair combination, the trivially-true redundancy filter on
+combined rows, the per-row gcd canonicalisation, and concrete point
+enumeration as int64 matrix kernels.  The kernels are *perf-only*: each
+either reproduces its pure-Python reference loop's output **byte for byte**
+(same constraints, same order, same canonical form) or declines by
+returning ``None``, and the caller then runs the reference loop
+(:func:`repro.sets.fourier_motzkin.fm_combine_reference`,
+:meth:`repro.sets.basic_set.BasicSet.enumerate_points_pure`).  A kernel
+declines whenever exactness cannot be guaranteed: non-integer coefficients,
+possible int64 overflow, free names, non-integer parameters, grids past the
+enumeration limit.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from typing import Mapping, Protocol, Sequence, runtime_checkable
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .affine import LinExpr
 from .basic_set import EQ, GE, BasicSet, Constraint
-
-#: Environment variable forcing a backend (``pure``, ``numpy`` or ``numba``).
-BACKEND_ENV = "REPRO_SETS_BACKEND"
 
 #: Largest candidate grid the vectorised point enumeration will materialise.
 ENUMERATION_GRID_LIMIT = 200_000
@@ -42,84 +31,11 @@ ENUMERATION_GRID_LIMIT = 200_000
 _INT64_SAFE = 1 << 62
 
 
-@runtime_checkable
-class SetBackend(Protocol):
-    """One engine for the constraint-matrix inner loops.
-
-    Methods return ``None`` to decline a query, in which case the caller
-    runs its pure-Python reference loop — so a backend only ever *speeds
-    up* a computation, never changes it.
-    """
-
-    name: str
-
-    #: Whether :func:`repro.linalg.rational.rref` may use the fraction-free
-    #: integer elimination kernel (byte-identical; needs no numpy, but is
-    #: part of the optimised layer so ``pure`` restores the reference loop).
-    fraction_free_rref: bool
-
-    def fm_combine(
-        self,
-        lower: Sequence[tuple[Fraction, LinExpr]],
-        upper: Sequence[tuple[Fraction, LinExpr]],
-    ) -> list[Constraint] | None:
-        ...
-
-    def enumerate_points(
-        self, basic_set: BasicSet, params: Mapping[str, int], bound: int
-    ) -> list[tuple[int, ...]] | None:
-        ...
-
-
-class PureSetBackend:
-    """The dependency-free reference backend (declines every query)."""
-
-    name = "pure"
-    fraction_free_rref = False
-
-    def fm_combine(self, lower, upper):
-        return None
-
-    def enumerate_points(self, basic_set, params, bound):
-        return None
-
-
-# Availability probes are cached: a *failed* import is costly (a full
-# sys.path search ending in an exception), and auto-selection runs on every
-# hot call that reaches for a backend.
-_numpy_ok: bool | None = None
-_numba_ok: bool | None = None
-
-
-def numpy_available() -> bool:
-    """True when numpy can be imported (probed once per process)."""
-    global _numpy_ok
-    if _numpy_ok is None:
-        try:
-            import numpy  # noqa: F401
-
-            _numpy_ok = True
-        except ImportError:
-            _numpy_ok = False
-    return _numpy_ok
-
-
-def numba_available() -> bool:
-    """True when numba (and therefore numpy) can be imported (probed once)."""
-    global _numba_ok
-    if _numba_ok is None:
-        try:
-            import numba  # noqa: F401
-            import numpy  # noqa: F401
-
-            _numba_ok = True
-        except ImportError:
-            _numba_ok = False
-    return _numba_ok
-
-
 def _int_or_none(value: Fraction) -> int | None:
-    return int(value) if value.denominator == 1 else None
+    """``value`` as an int64-safe int, or ``None`` (the kernel declines)."""
+    if value.denominator != 1 or abs(value.numerator) >= _INT64_SAFE:
+        return None
+    return value.numerator
 
 
 class NumpySetBackend:
@@ -133,37 +49,14 @@ class NumpySetBackend:
     """
 
     name = "numpy"
-    fraction_free_rref = True
-
-    def __init__(self):
-        import numpy
-
-        self._np = numpy
-
-    # -- kernels a subclass may JIT ----------------------------------------
-
-    def _combine_rows(self, L, a, U, b):
-        """``out[i*nu + j] = L[i] * -b[j] + U[j] * a[i]`` in pure-loop order."""
-        np = self._np
-        combined = L[:, None, :] * (-b)[None, :, None] + U[None, :, :] * a[:, None, None]
-        return combined.reshape(L.shape[0] * U.shape[0], L.shape[1])
-
-    def _filter_mask(self, pts, A, consts, kinds):
-        """Row mask of points satisfying every constraint (1 = EQ row)."""
-        np = self._np
-        values = pts @ A.T + consts[None, :]
-        eq = kinds == 1
-        mask = np.ones(pts.shape[0], dtype=bool)
-        if eq.any():
-            mask &= (values[:, eq] == 0).all(axis=1)
-        if (~eq).any():
-            mask &= (values[:, ~eq] >= 0).all(axis=1)
-        return mask
 
     # -- Fourier-Motzkin pair combination ----------------------------------
 
-    def fm_combine(self, lower, upper):
-        np = self._np
+    def fm_combine(
+        self,
+        lower: Sequence[tuple[Fraction, LinExpr]],
+        upper: Sequence[tuple[Fraction, LinExpr]],
+    ) -> list[Constraint] | None:
         if not lower or not upper:
             return []
         names: list[str] = []
@@ -209,7 +102,10 @@ class NumpySetBackend:
         if bound >= _INT64_SAFE:
             return None
 
-        rows = self._combine_rows(L, a, U, b)
+        # ``rows[i*nu + j] = L[i] * -b[j] + U[j] * a[i]``: the reference
+        # loop's order (lower pairs outer, upper pairs inner).
+        rows = L[:, None, :] * (-b)[None, :, None] + U[None, :, :] * a[:, None, None]
+        rows = rows.reshape(L.shape[0] * U.shape[0], width)
 
         # Redundancy filter (vectorised ``is_trivially_true``): drop rows
         # with no variable part and a non-negative constant — exactly the
@@ -234,8 +130,9 @@ class NumpySetBackend:
 
     # -- concrete point enumeration ----------------------------------------
 
-    def enumerate_points(self, basic_set, params, bound):
-        np = self._np
+    def enumerate_points(
+        self, basic_set: BasicSet, params: Mapping[str, int], bound: int
+    ) -> list[tuple[int, ...]] | None:
         dims = basic_set.space.dims
         if not dims:
             return None
@@ -283,10 +180,10 @@ class NumpySetBackend:
         column = {dim: idx for idx, dim in enumerate(order)}
         A = np.zeros((len(basic_set.constraints), len(order)), dtype=np.int64)
         consts = np.zeros(len(basic_set.constraints), dtype=np.int64)
-        kinds = np.zeros(len(basic_set.constraints), dtype=np.int64)
+        is_eq = np.zeros(len(basic_set.constraints), dtype=bool)
         largest = 0
         for row, constraint in enumerate(basic_set.constraints):
-            kinds[row] = 1 if constraint.kind == EQ else 0
+            is_eq[row] = constraint.kind == EQ
             const = _int_or_none(constraint.expr.const)
             if const is None:
                 return None
@@ -301,136 +198,34 @@ class NumpySetBackend:
                     const += value * params[name]
                 else:
                     return None  # free name: let the pure path raise KeyError
-            consts[row] = const
             largest = max(largest, abs(const))
+            if largest >= _INT64_SAFE:
+                return None
+            consts[row] = const
         if largest * (bound + 1) * (len(order) + 1) >= _INT64_SAFE:
             return None
 
         axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([axis.reshape(-1) for axis in mesh], axis=1)
-        mask = self._filter_mask(pts, A, consts, kinds)
+        # Keep the points satisfying every constraint.
+        values = pts @ A.T + consts[None, :]
+        mask = np.ones(pts.shape[0], dtype=bool)
+        if is_eq.any():
+            mask &= (values[:, is_eq] == 0).all(axis=1)
+        if (~is_eq).any():
+            mask &= (values[:, ~is_eq] >= 0).all(axis=1)
         selected = pts[mask]
         reorder = [column[d] for d in dims]
         return [tuple(row) for row in selected[:, reorder].tolist()]
 
 
-class NumbaSetBackend(NumpySetBackend):
-    """Numpy backend with the innermost loops JIT-compiled by numba.
-
-    Kernels are compiled lazily on first use; compilation failures are not
-    caught — numba either works or the backend should not be selected.
-    """
-
-    name = "numba"
-
-    def __init__(self):
-        super().__init__()
-        import numba
-
-        self._numba = numba
-        self._jit_combine = None
-        self._jit_filter = None
-
-    def _combine_rows(self, L, a, U, b):
-        if self._jit_combine is None:
-            numba = self._numba
-            np = self._np
-
-            @numba.njit(cache=False)
-            def combine(L, a, U, b):  # pragma: no cover - requires numba
-                nl, width = L.shape
-                nu = U.shape[0]
-                out = np.empty((nl * nu, width), dtype=np.int64)
-                idx = 0
-                for i in range(nl):
-                    for j in range(nu):
-                        for k in range(width):
-                            out[idx, k] = L[i, k] * (-b[j]) + U[j, k] * a[i]
-                        idx += 1
-                return out
-
-            self._jit_combine = combine
-        return self._jit_combine(L, a, U, b)
-
-    def _filter_mask(self, pts, A, consts, kinds):
-        if self._jit_filter is None:
-            numba = self._numba
-            np = self._np
-
-            @numba.njit(cache=False)
-            def filter_points(pts, A, consts, kinds):  # pragma: no cover - requires numba
-                n = pts.shape[0]
-                rows = A.shape[0]
-                width = pts.shape[1]
-                mask = np.ones(n, dtype=np.bool_)
-                for p in range(n):
-                    for r in range(rows):
-                        value = consts[r]
-                        for k in range(width):
-                            value += A[r, k] * pts[p, k]
-                        if kinds[r] == 1:
-                            if value != 0:
-                                mask[p] = False
-                                break
-                        elif value < 0:
-                            mask[p] = False
-                            break
-                return mask
-
-            self._jit_filter = filter_points
-        return self._jit_filter(pts, A, consts, kinds)
+_BACKEND = NumpySetBackend()
 
 
-_BACKEND_CACHE: dict[str, SetBackend] = {}
-
-
-def get_backend(name: str | None = None) -> SetBackend:
-    """Resolve a set backend by name, env override, or auto-detection.
-
-    ``name=None`` reads ``$REPRO_SETS_BACKEND``; when that is unset too, the
-    best importable backend is auto-selected (numba > numpy > pure).
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or None
-    if name is None:
-        if numba_available():
-            name = "numba"
-        elif numpy_available():
-            name = "numpy"
-        else:
-            name = "pure"
-    if name in _BACKEND_CACHE:
-        return _BACKEND_CACHE[name]
-    if name == "pure":
-        backend: SetBackend = PureSetBackend()
-    elif name == "numpy":
-        if not numpy_available():
-            raise RuntimeError(
-                "the 'numpy' set backend was requested but numpy is not installed"
-            )
-        backend = NumpySetBackend()
-    elif name == "numba":
-        if not numba_available():
-            raise RuntimeError(
-                "the 'numba' set backend was requested but numba is not installed"
-            )
-        backend = NumbaSetBackend()
-    else:
-        raise KeyError(
-            f"unknown set backend {name!r} (expected 'pure', 'numpy' or 'numba')"
-        )
-    _BACKEND_CACHE[name] = backend
-    return backend
-
-
-def reset_backend_cache() -> None:
-    """Drop backend instances and availability probes (tests switching
-    ``REPRO_SETS_BACKEND`` or stubbing out imports)."""
-    global _numpy_ok, _numba_ok
-    _BACKEND_CACHE.clear()
-    _numpy_ok = None
-    _numba_ok = None
+def get_backend() -> NumpySetBackend:
+    """The set-algebra engine's kernels (one instance per process)."""
+    return _BACKEND
 
 
 def _ceil(value: Fraction) -> int:

@@ -304,9 +304,11 @@ class BasicSet:
         the search tight even when bounds couple several dimensions.  The
         ``bound`` argument caps any dimension that remains unbounded.
 
-        The active set backend (``REPRO_SETS_BACKEND``) may vectorise the
-        enumeration; every backend produces the identical point sequence
-        (ascending lexicographic in the internal assignment order).
+        A vectorised int64 kernel (:mod:`repro.sets.backend`) enumerates
+        bounded grids and yields exactly the point sequence of
+        :meth:`enumerate_points_pure` (ascending lexicographic in the
+        internal assignment order); otherwise it declines and the reference
+        enumeration runs.
         """
         from .backend import get_backend
 

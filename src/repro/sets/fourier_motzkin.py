@@ -10,11 +10,12 @@ independence / interference tests of the IOLB algorithms.  All uses in
   In-sets, sources and may-spill sets, all of which may safely be
   over-approximated — see DESIGN.md).
 
-Performance: the pair-combination inner loop dispatches to the active set
-backend (``REPRO_SETS_BACKEND`` — see :mod:`repro.sets.backend`), and the
+Performance: the pair-combination inner loop runs as a vectorised int64
+kernel (:mod:`repro.sets.backend`) that falls back to
+:func:`fm_combine_reference` whenever it cannot be exact, and the
 module-level queries are memoised under content keys
 (:mod:`repro.sets.memo`); both layers are exact — identical constraints in
-identical order — so results are byte-for-byte those of the pure path.
+identical order — so results are byte-for-byte those of the reference loops.
 """
 
 from __future__ import annotations
@@ -88,17 +89,31 @@ def eliminate_variable(constraints: Sequence[Constraint], name: str) -> list[Con
 
     combined = get_backend().fm_combine(lower, upper)
     if combined is None:
-        # Reference pair-combination loop (also the exactness oracle for
-        # every backend — see tests/sets/test_backends.py).
-        combined = []
-        for lo_coeff, lo_rest in lower:
-            for up_coeff, up_rest in upper:
-                # lo: a*x + r1 >= 0 (a>0)  =>  x >= -r1/a
-                # up: b*x + r2 >= 0 (b<0)  =>  x <= -r2/b = r2/|b|
-                # combination: -r1/a <= r2/|b|  =>  |b|*r1 + a*r2 >= 0
-                combined.append(Constraint(lo_rest * (-up_coeff) + up_rest * lo_coeff, GE))
+        combined = fm_combine_reference(lower, upper)
     result = others + combined
     return [c.normalized() for c in result if not c.is_trivially_true()]
+
+
+def fm_combine_reference(
+    lower: Sequence[tuple[Fraction, LinExpr]],
+    upper: Sequence[tuple[Fraction, LinExpr]],
+) -> list[Constraint]:
+    """Reference Fourier-Motzkin pair combination over ``Fraction``.
+
+    ``lower`` holds the ``(a, r1)`` pairs of bounds ``a*x + r1 >= 0`` with
+    ``a > 0``, ``upper`` the ``(b, r2)`` pairs with ``b < 0``.  Returns one
+    raw (unnormalised) constraint per pair, lower pairs outer.  The
+    vectorised kernel must match this loop exactly after
+    :func:`eliminate_variable`'s normalise-and-filter pass, or decline.
+    """
+    combined = []
+    for lo_coeff, lo_rest in lower:
+        for up_coeff, up_rest in upper:
+            # lo: a*x + r1 >= 0 (a>0)  =>  x >= -r1/a
+            # up: b*x + r2 >= 0 (b<0)  =>  x <= -r2/b = r2/|b|
+            # combination: -r1/a <= r2/|b|  =>  |b|*r1 + a*r2 >= 0
+            combined.append(Constraint(lo_rest * (-up_coeff) + up_rest * lo_coeff, GE))
+    return combined
 
 
 @perf.timed("fm")

@@ -6,7 +6,7 @@ rational linear algebra) are cached under a key derived from the *content*
 of their inputs, so structurally-equal sets reached through different
 derivation paths share one computation.
 
-Discipline for memo keys (see DESIGN.md "Set-algebra backends"):
+Discipline for memo keys (see DESIGN.md "Set-algebra engine"):
 
 * keys must capture **everything** the result depends on — for
   ``basic_set_is_empty`` that is the set fingerprint *and* the canonical

@@ -4,15 +4,14 @@
 primitive-integer bases.  The oracles below are the textbook versions over
 ``fractions.Fraction``: RREF of the stacked bases for the sum, the kernel of
 ``[Uᵀ | −Vᵀ]`` for the intersection, and Algorithm 2's worklist loop on
-Fraction bases for the closure.  They go through :func:`repro.linalg.rref`
-and :func:`repro.linalg.nullspace`, so each comparison runs under both the
-``pure`` set backend (textbook Gauss-Jordan) and the default one.
+Fraction bases for the closure.  They run the textbook Gauss-Jordan loop
+(``_rref_reference``), not the integer elimination the engine and
+:func:`repro.linalg.rref` share; :func:`test_rref_matches_textbook_gauss_jordan`
+checks ``rref`` itself against the same loop.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -21,13 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.linalg import Subspace, SubspaceLattice, nullspace, rref, subspace_closure
+from repro.linalg import Subspace, SubspaceLattice, rref, subspace_closure
 from repro.linalg import lattice as lattice_module
 from repro.linalg.lattice import DEFAULT_MAX_ELEMENTS, close_rows
-from repro.sets import memo
-from repro.sets.backend import BACKEND_ENV, reset_backend_cache
-
-BACKENDS = ("pure", "default")
+from repro.linalg.rational import _rref_reference
 
 #: The 7 kernel lines whose closure is the 28-element lattice heat-3d builds.
 HEAT_3D_LINES = (
@@ -39,27 +35,6 @@ HEAT_3D_LINES = (
 GENERIC_LINES_Q3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 
 
-@contextlib.contextmanager
-def set_backend(name: str):
-    """Run under a named set backend ("default" leaves the selection alone)."""
-    saved = os.environ.get(BACKEND_ENV)
-    if name == "default":
-        os.environ.pop(BACKEND_ENV, None)
-    else:
-        os.environ[BACKEND_ENV] = name
-    reset_backend_cache()
-    memo.clear_all()
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = saved
-        reset_backend_cache()
-        memo.clear_all()
-
-
 # -- Fraction oracles ---------------------------------------------------------
 
 
@@ -68,8 +43,21 @@ def fraction_basis(vectors) -> tuple:
     rows = tuple(tuple(Fraction(x) for x in v) for v in vectors)
     if not rows:
         return ()
-    reduced, pivots = rref(rows)
+    reduced, pivots = _rref_reference(rows)
     return tuple(reduced[i] for i in range(len(pivots)))
+
+
+def fraction_nullspace(a: tuple) -> list:
+    """Basis of {x : a @ x = 0}, one vector per free column of the RREF."""
+    reduced, pivots = _rref_reference(a)
+    basis = []
+    for free in (c for c in range(len(a[0])) if c not in pivots):
+        vector = [Fraction(0)] * len(a[0])
+        vector[free] = Fraction(1)
+        for row, pivot in enumerate(pivots):
+            vector[pivot] = -reduced[row][free]
+        basis.append(vector)
+    return basis
 
 
 def fraction_sum(a: tuple, b: tuple) -> tuple:
@@ -84,7 +72,7 @@ def fraction_intersection(n: int, a: tuple, b: tuple) -> tuple:
         for i in range(n)
     )
     vectors = []
-    for combo in nullspace(columns):
+    for combo in fraction_nullspace(columns):
         vectors.append(
             [sum((combo[j] * a[j][i] for j in range(len(a))), Fraction(0)) for i in range(n)]
         )
@@ -132,6 +120,45 @@ def oracle_lattice(n: int, lines) -> tuple[set | None, bool]:
     return closed, True
 
 
+# -- RREF ---------------------------------------------------------------------
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices, wide or tall, with zero and duplicate rows."""
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * n_cols)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix=rational_matrices())
+def test_rref_matches_textbook_gauss_jordan(matrix):
+    reduced, pivots = rref(matrix)
+    expected, expected_pivots = _rref_reference(matrix)
+    assert pivots == list(expected_pivots)
+    assert reduced == expected
+    assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+def test_rref_of_empty_zero_and_integer_matrices():
+    assert rref(()) == ((), [])
+    zero = ((Fraction(0),) * 3,) * 2
+    assert rref(zero) == (zero, [])
+    # Plain-int input reduces exactly like its Fraction twin.
+    ints = ((2, 4, 6), (1, 3, 5))
+    twin = tuple(tuple(Fraction(x) for x in row) for row in ints)
+    assert rref(ints) == rref(twin)
+    assert rref(ints)[0] == _rref_reference(twin)[0]
+
+
 # -- pairwise operations ------------------------------------------------------
 
 
@@ -146,33 +173,29 @@ def spanning_sets():
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=60, deadline=None)
 @given(case=spanning_sets())
-def test_integer_ops_match_fraction_oracle(backend, case):
+def test_integer_ops_match_fraction_oracle(case):
     n, u_vectors, v_vectors = case
-    with set_backend(backend):
-        u, v = Subspace(n, u_vectors), Subspace(n, v_vectors)
-        fu, fv = fraction_basis(u_vectors), fraction_basis(v_vectors)
-        # Canonical key: the lcm-scaled Fraction RREF, primitive, pivot > 0.
-        assert u.rows == integer_key(fu)
-        assert u.basis == fu
-        assert Subspace.from_rows(n, u.rows) == u
-        assert u.sum(v).basis == fraction_sum(fu, fv)
-        assert u.intersection(v).basis == fraction_intersection(n, fu, fv)
-        assert u.contains(v) == (fraction_sum(fu, fv) == fu)
+    u, v = Subspace(n, u_vectors), Subspace(n, v_vectors)
+    fu, fv = fraction_basis(u_vectors), fraction_basis(v_vectors)
+    # Canonical key: the lcm-scaled Fraction RREF, primitive, pivot > 0.
+    assert u.rows == integer_key(fu)
+    assert u.basis == fu
+    assert Subspace.from_rows(n, u.rows) == u
+    assert u.sum(v).basis == fraction_sum(fu, fv)
+    assert u.intersection(v).basis == fraction_intersection(n, fu, fv)
+    assert u.contains(v) == (fraction_sum(fu, fv) == fu)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=40, deadline=None)
 @given(case=spanning_sets())
-def test_canonical_rows_are_primitive_with_positive_pivot(backend, case):
+def test_canonical_rows_are_primitive_with_positive_pivot(case):
     n, u_vectors, _ = case
-    with set_backend(backend):
-        for row in Subspace(n, u_vectors).rows:
-            pivot = next(x for x in row if x)
-            assert pivot > 0
-            assert gcd(*row) == 1
+    for row in Subspace(n, u_vectors).rows:
+        pivot = next(x for x in row if x)
+        assert pivot > 0
+        assert gcd(*row) == 1
 
 
 # -- closure ------------------------------------------------------------------
@@ -182,26 +205,24 @@ def as_bases(lattice: SubspaceLattice) -> set:
     return {element.basis for element in lattice.elements}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize(
     "n, lines, size",
     [(3, GENERIC_LINES_Q3, None), (4, HEAT_3D_LINES, 28)],
     ids=["generic-lines-Q3", "heat-3d"],
 )
-def test_closure_matches_fraction_oracle(backend, n, lines, size):
-    with set_backend(backend):
-        expected, expected_changed = oracle_lattice(n, lines)
-        assert expected_changed == (size is not None)  # the generic lines blow up
-        lattice = SubspaceLattice(n)
-        changed = True
-        for vector in lines:
-            lattice, changed = subspace_closure(lattice, Subspace(n, [vector]))
-            if not changed:
-                break
-        assert changed == expected_changed
-        assert as_bases(lattice) == expected
-        if size is not None:
-            assert len(lattice) == size
+def test_closure_matches_fraction_oracle(n, lines, size):
+    expected, expected_changed = oracle_lattice(n, lines)
+    assert expected_changed == (size is not None)  # the generic lines blow up
+    lattice = SubspaceLattice(n)
+    changed = True
+    for vector in lines:
+        lattice, changed = subspace_closure(lattice, Subspace(n, [vector]))
+        if not changed:
+            break
+    assert changed == expected_changed
+    assert as_bases(lattice) == expected
+    if size is not None:
+        assert len(lattice) == size
 
 
 def close_all(kernels):

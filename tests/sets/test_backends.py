@@ -1,12 +1,12 @@
-"""Unit tests for the set-backend layer, memoisation and canonical caching.
+"""Unit tests for the set-algebra kernels, memoisation and canonical caching.
 
-The trust boundary (DESIGN.md "Set-algebra backends"): compiled backends and
-memo caches are *perf-only* — the pure loops are the semantic reference, and
-every optimised path must be byte-identical or decline.  These tests pin:
+The trust boundary (DESIGN.md "Set-algebra engine"): the vectorised
+kernels and memo caches are *perf-only* — the reference loops are the
+semantic oracle, and every optimised path must be byte-identical or
+decline.  These tests pin:
 
-* backend selection (env override, auto-detection, instance caching, errors);
-* ``fm_combine`` parity with the reference pair-combination loop, and the
-  decline guards (fractional coefficients, int64 overflow);
+* ``fm_combine`` parity with :func:`fm_combine_reference` in exact order,
+  and the decline guards (fractional coefficients, int64 overflow);
 * ``enumerate_points`` parity including point *order*, and its guards;
 * the ``REPRO_SETS_MEMO`` kill switch, including the on-object canonical
   form caching it must also disable (so benchmark slow legs are faithful);
@@ -22,7 +22,6 @@ from fractions import Fraction
 import pytest
 
 from repro.sets import (
-    BACKEND_ENV,
     EQ,
     GE,
     BasicSet,
@@ -32,74 +31,31 @@ from repro.sets import (
     Space,
     get_backend,
     memo_enabled,
-    numba_available,
-    numpy_available,
     parse_set,
 )
 from repro.sets import memo
-from repro.sets.backend import (
-    ENUMERATION_GRID_LIMIT,
-    NumpySetBackend,
-    PureSetBackend,
-    reset_backend_cache,
-)
+from repro.sets.backend import ENUMERATION_GRID_LIMIT, NumpySetBackend
 from repro.sets.basic_set import _intern_table, interned_count
-from repro.sets.fourier_motzkin import eliminate_variable, project_out
-
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+from repro.sets.fourier_motzkin import eliminate_variable, fm_combine_reference, project_out
 
 
 @pytest.fixture
-def clean_backends(monkeypatch):
+def clean_memo(monkeypatch):
     yield monkeypatch
     monkeypatch.undo()
-    reset_backend_cache()
     memo.refresh_enabled()
     memo.clear_all()
 
 
-# -- selection ----------------------------------------------------------------
+class TestEngine:
+    def test_single_instance_named_numpy(self):
+        assert get_backend() is get_backend()
+        assert isinstance(get_backend(), NumpySetBackend)
+        assert get_backend().name == "numpy"
 
-
-class TestBackendSelection:
-    def test_pure_backend_declines_everything(self):
-        backend = get_backend("pure")
-        assert backend.name == "pure"
-        assert backend.fm_combine([], []) is None
-        assert backend.fraction_free_rref is False
-
-    def test_env_override(self, clean_backends):
-        clean_backends.setenv(BACKEND_ENV, "pure")
-        assert get_backend().name == "pure"
-
-    @requires_numpy
-    def test_env_override_numpy(self, clean_backends):
-        clean_backends.setenv(BACKEND_ENV, "numpy")
-        backend = get_backend()
-        assert isinstance(backend, NumpySetBackend)
-        assert backend.fraction_free_rref is True
-
-    def test_auto_detection_matches_availability(self, clean_backends):
-        clean_backends.delenv(BACKEND_ENV, raising=False)
-        name = get_backend().name
-        if numba_available():
-            assert name == "numba"
-        elif numpy_available():
-            assert name == "numpy"
-        else:
-            assert name == "pure"
-
-    def test_unknown_backend_raises_key_error(self):
-        with pytest.raises(KeyError):
-            get_backend("fortran")
-
-    @pytest.mark.skipif(numba_available(), reason="numba is installed here")
-    def test_missing_numba_raises_runtime_error(self):
-        with pytest.raises(RuntimeError):
-            get_backend("numba")
-
-    def test_instances_are_cached(self):
-        assert get_backend("pure") is get_backend("pure")
+    def test_get_backend_takes_no_selection(self):
+        with pytest.raises(TypeError):
+            get_backend("numpy")
 
 
 # -- Fourier-Motzkin parity ---------------------------------------------------
@@ -117,41 +73,106 @@ def _random_system(rng: random.Random, nvars: int = 3, n: int = 6) -> list[Const
     return constraints
 
 
-@requires_numpy
+def _random_pairs(rng: random.Random, sign: int) -> list[tuple[Fraction, LinExpr]]:
+    """FM bound pairs ``(coeff, rest)`` with ``sign * coeff > 0``."""
+    names = ["y0", "y1", "y2"]
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        coeffs = {name: Fraction(rng.randint(-4, 4)) for name in rng.sample(names, rng.randint(0, 3))}
+        rest = LinExpr(coeffs, Fraction(rng.randint(-6, 6)))
+        pairs.append((Fraction(sign * rng.randint(1, 4)), rest))
+    return pairs
+
+
+def _canonical(constraints: list[Constraint]) -> list[Constraint]:
+    """``eliminate_variable``'s final pass over combined constraints."""
+    return [c.normalized() for c in constraints if not c.is_trivially_true()]
+
+
+def _same(left: list[Constraint], right: list[Constraint]) -> bool:
+    """Byte identity: same constraints, same order, same printed form."""
+    return [(c.key(), repr(c)) for c in left] == [(c.key(), repr(c)) for c in right]
+
+
 class TestFmCombineParity:
-    def test_eliminate_variable_identical_across_backends(self, clean_backends):
+    def test_kernel_matches_reference_loop_in_order(self):
+        rng = random.Random(424242)
+        backend = get_backend()
+        compared = 0
+        for _ in range(200):
+            lower, upper = _random_pairs(rng, 1), _random_pairs(rng, -1)
+            fast = backend.fm_combine(lower, upper)
+            assert fast is not None
+            assert _same(fast, _canonical(fm_combine_reference(lower, upper)))
+            compared += bool(fast)
+        assert compared > 100
+
+    def test_eliminate_variable_unchanged_when_kernel_declines(self, clean_memo):
         rng = random.Random(424242)
         systems = [_random_system(rng) for _ in range(60)]
-
-        clean_backends.setenv(BACKEND_ENV, "pure")
-        memo.clear_all()
-        reference = [repr(eliminate_variable(system, "x0")) for system in systems]
-
-        clean_backends.setenv(BACKEND_ENV, "numpy")
         memo.clear_all()
         optimised = [repr(eliminate_variable(system, "x0")) for system in systems]
 
+        clean_memo.setattr(NumpySetBackend, "fm_combine", lambda self, lower, upper: None)
+        memo.clear_all()
+        reference = [repr(eliminate_variable(system, "x0")) for system in systems]
+
         assert optimised == reference
 
+    def test_reference_loop_pairs_lower_outer_unnormalised(self):
+        lower = [(Fraction(1), LinExpr({"y": 1}, 0)), (Fraction(2), LinExpr({}, 4))]
+        upper = [(Fraction(-1), LinExpr({}, 3)), (Fraction(-3), LinExpr({"y": -2}, 0))]
+        combined = fm_combine_reference(lower, upper)
+        # |b|*r1 + a*r2 >= 0 per (lower, upper) pair, lower pairs outer.
+        assert combined == [
+            Constraint(LinExpr({"y": 1}, 3), GE),
+            Constraint(LinExpr({"y": 1}, 0), GE),
+            Constraint(LinExpr({}, 10), GE),
+            Constraint(LinExpr({"y": -4}, 12), GE),
+        ]
+        # Raw: the pass that divides out the gcd runs in eliminate_variable.
+        assert combined[3] != combined[3].normalized()
+
+    def test_reference_loop_empty_side_combines_to_nothing(self):
+        pair = (Fraction(1), LinExpr({"y": 1}, 0))
+        assert fm_combine_reference([], [(-pair[0], pair[1])]) == []
+        assert fm_combine_reference([pair], []) == []
+
+    def test_overflowing_elimination_falls_back_to_reference_loop(self):
+        # 2^33 * 2^33 products overflow the int64 guard, so the kernel
+        # declines for real and eliminate_variable runs the reference loop.
+        big = 1 << 33
+        system = [
+            Constraint(LinExpr({"x": big, "y": 1}, 0), GE),
+            Constraint(LinExpr({"x": -big - 1}, big * big), GE),
+        ]
+        lower = [(Fraction(big), LinExpr({"y": 1}, 0))]
+        upper = [(Fraction(-big - 1), LinExpr({}, big * big))]
+        assert get_backend().fm_combine(lower, upper) is None
+        result = eliminate_variable(system, "x")
+        assert _same(result, _canonical(fm_combine_reference(lower, upper)))
+        # (big + 1) * y + big * big^2 >= 0, exact in unbounded integers.
+        assert result == [Constraint(LinExpr({"y": big + 1}, big ** 3), GE).normalized()]
+
     def test_empty_sides_combine_to_nothing(self):
-        backend = get_backend("numpy")
+        backend = get_backend()
         assert backend.fm_combine([], [(Fraction(-1), LinExpr({"y": 1}, 0))]) == []
         assert backend.fm_combine([(Fraction(1), LinExpr({"y": 1}, 0))], []) == []
 
     def test_fractional_coefficient_declines(self):
-        backend = get_backend("numpy")
+        backend = get_backend()
         lower = [(Fraction(1, 2), LinExpr({"y": 1}, 0))]
         upper = [(Fraction(-1), LinExpr({}, 4))]
         assert backend.fm_combine(lower, upper) is None
 
     def test_fractional_rest_declines(self):
-        backend = get_backend("numpy")
+        backend = get_backend()
         lower = [(Fraction(1), LinExpr({"y": Fraction(1, 3)}, 0))]
         upper = [(Fraction(-1), LinExpr({}, 4))]
         assert backend.fm_combine(lower, upper) is None
 
     def test_int64_overflow_declines(self):
-        backend = get_backend("numpy")
+        backend = get_backend()
         big = 1 << 33
         lower = [(Fraction(big), LinExpr({"y": big}, 0))]
         upper = [(Fraction(-big), LinExpr({}, big))]
@@ -159,8 +180,8 @@ class TestFmCombineParity:
 
     def test_combination_drops_trivially_true_rows(self):
         # x >= 0 and x <= 5 combine to the trivially-true 5 >= 0: the
-        # backend must drop it exactly like the reference loop's filter.
-        backend = get_backend("numpy")
+        # kernel must drop it exactly like the reference loop's filter.
+        backend = get_backend()
         lower = [(Fraction(1), LinExpr({}, 0))]
         upper = [(Fraction(-1), LinExpr({}, 5))]
         assert backend.fm_combine(lower, upper) == []
@@ -169,12 +190,11 @@ class TestFmCombineParity:
 # -- enumeration parity -------------------------------------------------------
 
 
-@requires_numpy
 class TestEnumerationParity:
     def test_point_order_is_identical(self):
         triangle = parse_set("{ T[i, j] : 0 <= i and i <= 6 and i <= j and j <= 6 }")
         piece = triangle.pieces[0]
-        backend = get_backend("numpy")
+        backend = get_backend()
         points = backend.enumerate_points(piece, {}, 2000)
         assert points is not None
         assert points == piece.enumerate_points_pure({})
@@ -182,18 +202,18 @@ class TestEnumerationParity:
     def test_parametric_set_matches_pure(self):
         band = parse_set("[N] -> { D[i, j] : 0 <= i and i <= N - 1 and i <= j and j <= i + 2 }")
         piece = band.pieces[0]
-        backend = get_backend("numpy")
+        backend = get_backend()
         points = backend.enumerate_points(piece, {"N": 8}, 2000)
         assert points == piece.enumerate_points_pure({"N": 8})
 
     def test_empty_range_short_circuits(self):
         empty = parse_set("{ E[i] : 3 <= i and i <= 1 }")
-        backend = get_backend("numpy")
+        backend = get_backend()
         assert backend.enumerate_points(empty.pieces[0], {}, 2000) == []
 
     def test_oversized_grid_declines(self):
         unbounded = BasicSet(Space("U", ("i", "j", "k"), ()))
-        backend = get_backend("numpy")
+        backend = get_backend()
         assert backend.enumerate_points(unbounded, {}, 2000) is None
         # Sanity: the declined grid really is beyond the limit.
         assert 4001 ** 3 > ENUMERATION_GRID_LIMIT
@@ -201,21 +221,48 @@ class TestEnumerationParity:
     def test_free_name_declines_to_pure_path(self):
         space = Space("F", ("i",), ())
         leaky = BasicSet(space, [Constraint(LinExpr({"i": 1, "M": -1}, 0), GE)])
-        backend = get_backend("numpy")
+        backend = get_backend()
         assert backend.enumerate_points(leaky, {}, 10) is None
 
     def test_non_integer_parameter_declines(self):
         band = parse_set("[N] -> { D[i] : 0 <= i and i <= N }")
-        backend = get_backend("numpy")
+        backend = get_backend()
         assert backend.enumerate_points(band.pieces[0], {"N": 1.5}, 10) is None
+
+    def test_huge_parameter_declines_and_falls_back_to_pure(self):
+        # N folds into an int64 constant column; 2^70 cannot be stored.
+        piece = parse_set("[N] -> { D[i] : 0 <= i and i <= N }").pieces[0]
+        params = {"N": 1 << 70}
+        assert get_backend().enumerate_points(piece, params, 10) is None
+        assert piece.enumerate_points(params, 10) == [(i,) for i in range(11)]
+
+    def test_declined_parameter_falls_back_to_pure(self):
+        piece = parse_set("[N] -> { D[i] : 0 <= i and i <= N }").pieces[0]
+        assert piece.enumerate_points({"N": 1.5}) == [(0,), (1,)]
+        assert piece.enumerate_points({"N": 1.5}) == piece.enumerate_points_pure({"N": 1.5})
+
+    def test_oversized_grid_falls_back_to_pure(self):
+        # The 61^3 bounding box is past the grid limit; the set itself is
+        # the 10 points with i + j + k <= 2.
+        corner = parse_set(
+            "{ C[i, j, k] : 0 <= i and i <= 60 and 0 <= j and j <= 60 and "
+            "0 <= k and k <= 60 and i + j + k <= 2 }"
+        ).pieces[0]
+        assert 61 ** 3 > ENUMERATION_GRID_LIMIT
+        assert get_backend().enumerate_points(corner, {}, 2000) is None
+        points = corner.enumerate_points({})
+        assert points == corner.enumerate_points_pure({})
+        assert sorted(points) == sorted(
+            (i, j, k) for i in range(3) for j in range(3) for k in range(3) if i + j + k <= 2
+        )
 
 
 # -- the memo kill switch -----------------------------------------------------
 
 
 class TestMemoKillSwitch:
-    def test_env_disables_caches(self, clean_backends):
-        clean_backends.setenv(MEMO_ENV, "0")
+    def test_env_disables_caches(self, clean_memo):
+        clean_memo.setenv(MEMO_ENV, "0")
         memo.refresh_enabled()
         assert not memo_enabled()
         cache = memo.MemoCache("test.kill_switch", maxsize=8)
@@ -225,11 +272,11 @@ class TestMemoKillSwitch:
         assert len(calls) == 2  # recomputed: nothing was cached
         assert len(cache) == 0
 
-    def test_kill_switch_disables_on_object_canonical_caching(self, clean_backends):
+    def test_kill_switch_disables_on_object_canonical_caching(self, clean_memo):
         # The benchmark's slow leg relies on this: with the switch off,
         # normalisation must recompute (pre-memoisation behaviour), not be
         # served from the frozen object or the intern table.
-        clean_backends.setenv(MEMO_ENV, "0")
+        clean_memo.setenv(MEMO_ENV, "0")
         memo.refresh_enabled()
         constraint = Constraint(LinExpr({"i": 2}, 4), GE)
         first = constraint.normalized()
@@ -237,8 +284,8 @@ class TestMemoKillSwitch:
         assert first == second
         assert first is not second
 
-    def test_memo_on_interns_and_caches_normal_forms(self, clean_backends):
-        clean_backends.setenv(MEMO_ENV, "1")
+    def test_memo_on_interns_and_caches_normal_forms(self, clean_memo):
+        clean_memo.setenv(MEMO_ENV, "1")
         memo.refresh_enabled()
         a = Constraint(LinExpr({"i": 2}, 4), GE)
         b = Constraint(LinExpr({"i": 2}, 4), GE)

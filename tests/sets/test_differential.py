@@ -262,54 +262,26 @@ class TestAlgebraDifferential:
             assert not (difference & overlap)
 
 
-# -- backend parity ------------------------------------------------------------
+# -- kernel parity --------------------------------------------------------------
 
-from repro.sets import BACKEND_ENV  # noqa: E402
 from repro.sets import memo as sets_memo  # noqa: E402
-from repro.sets.backend import (  # noqa: E402
-    numba_available,
-    numpy_available,
-    reset_backend_cache,
-)
-
-#: Every optimised backend importable here; numba rides along when installed.
-OPTIMISED_BACKENDS = [
-    name
-    for name, available in (("numpy", numpy_available()), ("numba", numba_available()))
-    if available
-]
+from repro.sets.backend import NumpySetBackend, get_backend  # noqa: E402
+from repro.sets.fourier_motzkin import fm_combine_reference  # noqa: E402
 
 
-@pytest.fixture
-def backend_env(monkeypatch):
-    """Activate a named set backend (and clear memo caches, so a cached
-    result from one backend can never stand in for another's computation)."""
-
-    def activate(name: str) -> None:
-        monkeypatch.setenv(BACKEND_ENV, name)
-        reset_backend_cache()
-        sets_memo.clear_all()
-
-    yield activate
-    reset_backend_cache()
-    sets_memo.clear_all()
-
-
-@pytest.mark.skipif(not OPTIMISED_BACKENDS, reason="no optimised backend importable")
 class TestBackendParity:
-    """Optimised backends must be byte-identical to the pure reference loops.
+    """The vectorised kernels must be byte-identical to the reference loops.
 
-    The differential battery re-runs under every importable optimised
-    backend, and the outputs are then compared against the pure backend
-    *exactly*: the same point lists in the same order, the same projected
-    constraint systems — not merely equivalent sets.
+    Each kernel runs side by side with its reference function on the
+    differential polytopes, and the outputs are compared *exactly*: the
+    same point lists in the same order, the same canonical constraints in
+    the same order — not merely equivalent sets.
     """
 
     CASES = 30
 
-    @pytest.mark.parametrize("backend", OPTIMISED_BACKENDS)
-    def test_card_battery_under_optimised_backend(self, backend, backend_env):
-        backend_env(backend)
+    def test_card_battery(self):
+        sets_memo.clear_all()
         rng = random.Random(20260807)
         compared = 0
         for case in range(self.CASES):
@@ -322,34 +294,48 @@ class TestBackendParity:
             points = pset.enumerate_points({"N": value})
             if not points:
                 continue
-            assert symbolic.subs(sym("N"), value) == len(points), (
-                f"case {case} under backend {backend}\n{pset!r}"
-            )
+            assert symbolic.subs(sym("N"), value) == len(points), f"case {case}\n{pset!r}"
             compared += 1
         assert compared >= self.CASES * 3 // 4
 
-    @pytest.mark.parametrize("backend", OPTIMISED_BACKENDS)
-    def test_enumeration_and_projection_byte_identical(self, backend, backend_env):
+    def test_enumeration_kernel_matches_reference_in_order(self):
         rng = random.Random(97531)
-        polys = [random_polytope(rng, ndim=rng.randint(2, 3)) for _ in range(self.CASES)]
-        keeps = [poly.space.dims[: 1 + case % 2] for case, poly in enumerate(polys)]
+        compared = 0
+        for _ in range(self.CASES):
+            poly = random_polytope(rng, ndim=rng.randint(2, 3))
+            for piece in poly.pieces:
+                fast = get_backend().enumerate_points(piece, {"N": 9}, 2000)
+                if fast is None:
+                    continue
+                assert fast == piece.enumerate_points_pure({"N": 9})
+                compared += 1
+        assert compared >= self.CASES * 3 // 4
 
-        backend_env("pure")
-        ref_points = [poly.enumerate_points({"N": 9}) for poly in polys]
-        ref_projections = [
-            repr(poly.project_onto(list(keep))) for poly, keep in zip(polys, keeps)
-        ]
+    def test_fm_kernel_matches_reference_during_projection(self, monkeypatch):
+        kernel = NumpySetBackend.fm_combine
+        compared = []
 
-        backend_env(backend)
-        fast_points = [poly.enumerate_points({"N": 9}) for poly in polys]
-        fast_projections = [
-            repr(poly.project_onto(list(keep))) for poly, keep in zip(polys, keeps)
-        ]
+        def checked(self, lower, upper):
+            fast = kernel(self, lower, upper)
+            if fast is not None:
+                reference = [
+                    c.normalized()
+                    for c in fm_combine_reference(lower, upper)
+                    if not c.is_trivially_true()
+                ]
+                assert [repr(c) for c in fast] == [repr(c) for c in reference]
+                assert [c.key() for c in fast] == [c.key() for c in reference]
+                compared.append(len(fast))
+            return fast
 
-        # Exact equality: identical points in identical order, identical
-        # canonicalised constraint systems after Fourier-Motzkin.
-        assert fast_points == ref_points
-        assert fast_projections == ref_projections
+        monkeypatch.setattr(NumpySetBackend, "fm_combine", checked)
+        sets_memo.clear_all()
+        rng = random.Random(97531)
+        for case in range(self.CASES):
+            poly = random_polytope(rng, ndim=rng.randint(2, 3))
+            poly.project_onto(list(poly.space.dims[: 1 + case % 2]))
+        sets_memo.clear_all()
+        assert sum(compared) > 0
 
 
 # -- hypothesis property tests -------------------------------------------------
