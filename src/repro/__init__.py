@@ -13,14 +13,10 @@ Typical usage::
     result = Analyzer(AnalysisConfig()).analyze(spec.program)
     print(result.asymptotic)        # ~ 2*Ni*Nj*Nk/sqrt(S)
     print(result.oi_upper_bound())  # ~ sqrt(S)
-
-The legacy free function ``repro.derive_bounds`` is kept as a thin wrapper
-over the analyzer.
 """
 
 from . import analysis, core, ir, linalg, pebble, polybench, rel, sets, upper
 from .analysis import AnalysisConfig, Analyzer
-from .core import derive_bounds
 from .ir import AffineProgram, ProgramBuilder
 
 __all__ = [
@@ -30,7 +26,6 @@ __all__ = [
     "ProgramBuilder",
     "analysis",
     "core",
-    "derive_bounds",
     "ir",
     "linalg",
     "pebble",

@@ -1,8 +1,6 @@
 """repro.analysis — the configurable, pluggable, batch-capable Analyzer API.
 
-This package is the primary public entry point for deriving I/O lower bounds
-(the legacy :func:`repro.core.derive_bounds` free function is a thin wrapper
-kept for backward compatibility):
+This package is the public entry point for deriving I/O lower bounds:
 
 * :class:`AnalysisConfig` — every knob of the derivation in one frozen,
   JSON-serializable object;
@@ -19,13 +17,13 @@ kept for backward compatibility):
   (:func:`schedule_plans`: one ready queue per batch, fewest-remaining
   priority, combine-on-last-task), with results combined in plan order so
   every executor and scheduling produces byte-identical bounds;
-* :class:`Analyzer` — ``analyze(program)`` for one program,
-  ``analyze_stream(programs)`` for streamed batches (results yielded in
-  completion order while later programs still derive),
+* :class:`Analyzer` — ``analyze_stream(programs)`` for streamed batches
+  (results yielded in completion order while later programs still derive),
   ``analyze_many(programs)`` as its input-order collector (the whole
-  batch's tasks flow through one shared executor) with on-disk memoisation
-  keyed by :func:`program_fingerprint` at both the result and the task
-  level;
+  batch's tasks flow through one shared executor) and ``analyze(program)``
+  as a one-program batch, all collecting the one pipeline
+  :func:`stream_analyses`, with on-disk memoisation keyed by
+  :func:`program_fingerprint` at both the result and the task level;
 * :class:`BoundStore` — the shared content-addressed persistent store behind
   that memoisation (``$REPRO_STORE`` / ``~/.cache/repro``), with schema
   negotiation, LRU eviction and ``stats``/``gc``/``clear`` maintenance;
@@ -46,13 +44,10 @@ from .analyzer import (
     Analyzer,
     combine_plan,
     derivation_count,
-    execute_plan,
-    execute_plans,
     program_fingerprint,
     reset_derivation_count,
     reset_task_derivation_count,
     result_key,
-    run_analysis,
     stream_analyses,
     task_derivation_count,
 )
@@ -139,8 +134,6 @@ __all__ = [
     "combine_plan",
     "default_store_root",
     "derivation_count",
-    "execute_plan",
-    "execute_plans",
     "get_strategy",
     "load_results",
     "parse_size",
@@ -155,7 +148,6 @@ __all__ = [
     "result_key",
     "results_from_document",
     "results_to_document",
-    "run_analysis",
     "save_results",
     "schedule_plans",
     "schedule_work",

@@ -1,9 +1,8 @@
 """Analysis configuration: every knob of the derivation in one frozen object.
 
-:class:`AnalysisConfig` replaces the seven loose keyword arguments of the
-legacy ``derive_bounds`` entry point.  A config is immutable, so it can be
-shared between an :class:`~repro.analysis.Analyzer` and its worker processes,
-compared for equality, folded into an on-disk cache key (via the hashable
+A config is immutable, so it can be shared between an
+:class:`~repro.analysis.Analyzer` and its worker processes, compared for
+equality, folded into an on-disk cache key (via the hashable
 :meth:`AnalysisConfig.signature`), and round-tripped through JSON (for the
 CLI and for persisted suite runs).
 """

@@ -3,9 +3,9 @@
 :mod:`repro.analysis.plan` makes a derivation an explicit list of independent
 tasks and :mod:`repro.analysis.executor` decides where they run; this module
 decides **when** — and, crucially, when each program's *combine* step fires.
-The barrier-style reference pipeline (``execute_plans``) waited for a whole
-batch's task set before combining anything; :func:`schedule_plans` instead
-runs one event loop over the union of every plan's tasks:
+Rather than waiting for a whole batch's task set before combining anything,
+:func:`schedule_plans` runs one event loop over the union of every plan's
+tasks:
 
 * all tasks of all plans enter a single **ready queue**;
 * workers pull tasks in **priority order** — fewest-remaining-tasks-per-program
@@ -19,11 +19,11 @@ runs one event loop over the union of every plan's tasks:
 Determinism is inherited from the plan layer, not re-derived here: a plan's
 task results are yielded **in plan order** whatever order they completed in,
 so combining a yielded plan produces byte-identical bounds on every executor
-and every scheduling (the CI-enforced invariant of PR 4).  The only thing
-that varies across schedulers is the order *between* plans — completion
-order by construction — and collectors such as ``execute_plans`` re-order by
-plan index, which is why the barrier API could be rebuilt on top of this
-module without changing a byte of its output.
+and every scheduling (a CI-enforced invariant).  The only thing that varies
+across schedulers is the order *between* plans — completion order by
+construction — and input-order collectors such as
+:meth:`~repro.analysis.Analyzer.analyze_many` re-order by index, so their
+output does not depend on it either.
 
 Executors participate in one of three ways:
 
@@ -60,7 +60,7 @@ import threading
 from typing import Iterator, Sequence
 
 from .executor import Executor, resolve_executor
-from .plan import DerivationPlan, TaskResult, dfg_for, run_strategy_task
+from .plan import DerivationPlan, TaskResult, dfg_for
 from .store import BoundStore
 from .strategies import get_strategy
 
@@ -187,7 +187,7 @@ def _execute_payload(payload: tuple) -> TaskResult:
     dfg = dfg_for(program, fingerprint)
     strategy = get_strategy(task.strategy)
     instance = config.heuristic_instance(program.params)
-    return run_strategy_task(strategy, dfg, config, instance, task)
+    return strategy.run_task(dfg, config, instance, task)
 
 
 # -- the generic work scheduler -----------------------------------------------

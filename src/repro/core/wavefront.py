@@ -364,7 +364,3 @@ def _validate_reachability_concrete(
         if checked_pairs >= 2:
             break
     return checked_pairs > 0
-
-
-#: Backwards-compatible alias (pre-symbolic name of the concrete oracle).
-_validate_reachability = _validate_reachability_concrete

@@ -57,7 +57,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.analysis import AnalysisConfig, BoundStore, run_analysis
+from repro.analysis import AnalysisConfig, BoundStore
 from repro.analysis.analyzer import Analyzer
 from repro.analysis.plan import dfg_for
 from repro.core.bounds import evaluate
@@ -208,7 +208,7 @@ def oracle_executors(program: AffineProgram, ctx: OracleContext) -> OracleVerdic
     config = _pipeline_config(n_jobs=2)
     docs: dict[str, str] = {}
     for name in EXECUTOR_SET:
-        docs[name] = _result_bytes(run_analysis(program, config, executor=name))
+        docs[name] = _result_bytes(Analyzer(config).analyze(program, executor=name))
     reference = docs[EXECUTOR_SET[0]]
     for name, doc in docs.items():
         if doc != reference:
@@ -374,7 +374,7 @@ def oracle_sandwich(program: AffineProgram, ctx: OracleContext) -> OracleVerdict
         "both": ("kpartition", "wavefront"),
     }
     results = {
-        name: run_analysis(program, AnalysisConfig(max_depth=1, strategies=strategies))
+        name: Analyzer(AnalysisConfig(max_depth=1, strategies=strategies)).analyze(program)
         for name, strategies in variants.items()
     }
     checks = 0

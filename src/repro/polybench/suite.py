@@ -19,7 +19,6 @@ import sympy
 
 from ..analysis import (
     AnalysisConfig,
-    Analyzer,
     BoundStore,
     Executor,
     StreamCounters,
@@ -71,15 +70,14 @@ def analyze_kernel(
 ) -> KernelAnalysis:
     """Run the IOLB derivation on one PolyBench kernel.
 
-    Without arguments the kernel's registered wavefront depth is used; pass
-    an :class:`~repro.analysis.AnalysisConfig` (or individual config fields
-    as keyword arguments, e.g. ``gamma=0.5``) to override.  A
+    A one-kernel :func:`analyze_suite`.  Without arguments the kernel's
+    registered wavefront depth is used; pass an
+    :class:`~repro.analysis.AnalysisConfig` (or individual config fields as
+    keyword arguments, e.g. ``gamma=0.5``) to override.  A
     :class:`~repro.analysis.BoundStore` makes the derivation persistent:
     a kernel already in the store is never re-derived.
     """
-    spec = get_kernel(name)
-    analyzer = Analyzer(_kernel_config(spec, config, **kwargs), store=store)
-    return KernelAnalysis(spec=spec, result=analyzer.analyze(spec.program))
+    return analyze_suite([name], config=config, store=store, **kwargs)[0]
 
 
 def _suite_jobs(

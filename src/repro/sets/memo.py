@@ -14,8 +14,10 @@ Discipline for memo keys (see DESIGN.md "Set-algebra engine"):
 * cached values must be immutable (tuples, frozen objects, ``bool``) so a
   shared result can never be mutated by one caller under another;
 * never cache a result that depends on wall-clock or resource budgets
-  (lattice closures have none: both converged closures and blow-ups past
-  the element cap are deterministic, and both are cached).
+  (no derivation budget is a clock any more: lattice closures stop at an
+  element cap and path search at a path count and length, so both converged
+  closures and blow-ups past the cap are deterministic, and both are
+  cached).
 
 Every cache is process-wide and lock-guarded, keeps hit/miss counters, and
 registers itself with :mod:`repro.perf` so ``python -m repro profile``

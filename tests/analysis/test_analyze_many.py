@@ -57,3 +57,21 @@ class TestBatchAlignment:
         analyzer = Analyzer(AnalysisConfig(max_depth=0))
         with pytest.raises(RuntimeError, match=r"indices \[1\].*atax"):
             analyzer.analyze_many(programs)
+
+
+class TestSingleProgramCollector:
+    @pytest.mark.parametrize("name,max_depth", [("gemm", 0), ("durbin", 1)])
+    def test_analyze_matches_streamed_result(self, name, max_depth):
+        """``analyze`` collects the same stream as ``analyze_stream``: the
+        serial one-program result equals the one streamed out of a batch
+        run on a thread pool, field for field."""
+        program = get_kernel(name).program
+        analyzer = Analyzer(AnalysisConfig(max_depth=max_depth))
+        single = analyzer.analyze(program)
+        streamed = dict(
+            analyzer.analyze_stream(
+                [get_kernel("atax").program, program], executor="thread"
+            )
+        )
+        assert single.to_dict() == streamed[name].to_dict()
+        assert single.log == streamed[name].log

@@ -2,7 +2,7 @@
 
 Covers the acceptance properties of the store subsystem: sharded layout and
 key addressing, the ``$REPRO_STORE`` environment override, schema-version
-negotiation (legacy entries readable, newer entries never corrupted),
+negotiation (bare payloads are misses, newer entries never corrupted),
 corrupted/truncated entries as misses, LRU-by-atime eviction under a size
 budget, survival under concurrent writer processes, and the CLI maintenance
 subcommands (``python -m repro cache {stats,gc,clear}``).
@@ -109,17 +109,14 @@ class TestEnvironmentOverride:
 
 
 class TestSchemaNegotiation:
-    def test_legacy_flat_entry_is_read_and_migrated(self, tmp_path):
-        # The pre-store Analyzer cache wrote bare result dicts at the root.
-        result = make_result("legacy", 7)
-        (tmp_path / f"{KEY}.json").write_text(json.dumps(result.to_dict()))
+    def test_bare_result_payload_is_a_miss(self, tmp_path):
+        # A result dict with no envelope is unreadable, wherever it sits.
         store = BoundStore(tmp_path)
-        loaded = store.get(KEY)
-        assert loaded is not None and loaded.program_name == "legacy"
-        # Migrated into the sharded layout; the legacy file is left in place
-        # for concurrent readers of the old layout.
-        assert store.path_for(KEY).exists()
-        assert (tmp_path / f"{KEY}.json").exists()
+        path = store.path_for(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(make_result("bare", 3).to_dict()))
+        assert store.get(KEY) is None
+        assert store.misses == 1 and store.hits == 0
 
     def test_newer_schema_entry_is_a_miss(self, tmp_path):
         store = BoundStore(tmp_path)
@@ -176,22 +173,6 @@ class TestReadOnlyStore:
         monkeypatch.setattr("repro.analysis.store.tempfile.mkstemp", denied)
         assert store.put(KEY, make_result()) is None  # no exception escapes
 
-    def test_legacy_hit_on_readonly_root_still_returns_the_result(
-        self, tmp_path, monkeypatch
-    ):
-        # A read-only replica holding only legacy flat entries: the migration
-        # write inside get() must not turn the hit into a crash.
-        result = make_result("legacy-ro", 5)
-        (tmp_path / f"{KEY}.json").write_text(json.dumps(result.to_dict()))
-        store = BoundStore(tmp_path)
-
-        def denied(*args, **kwargs):
-            raise PermissionError("read-only store root")
-
-        monkeypatch.setattr("repro.analysis.store.tempfile.mkstemp", denied)
-        loaded = store.get(KEY)
-        assert loaded is not None and loaded.program_name == "legacy-ro"
-
 
 class TestEvictionAndMaintenance:
     def _fill(self, store: BoundStore, count: int) -> list[str]:
@@ -241,16 +222,22 @@ class TestEvictionAndMaintenance:
         self._fill(store, 8)
         assert len(store) <= 3
 
-    def test_clear_removes_sharded_and_legacy_entries_only(self, tmp_path):
+    def test_root_level_bare_result_is_a_miss_and_survives_clear(self, tmp_path):
+        # A valid bare result at <root>/<key>.json (the old flat layout) is
+        # not a store entry: get and contains miss it, clear leaves it alone.
         store = BoundStore(tmp_path)
         self._fill(store, 3)
-        (tmp_path / f"{KEY}.json").write_text("{}")          # legacy entry shape
+        flat = tmp_path / f"{KEY}.json"
+        flat.write_text(json.dumps(make_result("flat", 7).to_dict()))
         (tmp_path / "bounds.json").write_text("{}")          # unrelated export
+        assert store.get(KEY) is None
+        assert not store.contains(KEY)
+        assert not store.path_for(KEY).exists()              # nothing migrated
         removed = store.clear()
-        assert removed == 4
+        assert removed == 3
         assert len(store) == 0
-        assert not (tmp_path / f"{KEY}.json").exists()
-        assert (tmp_path / "bounds.json").exists()           # never touched
+        assert flat.exists()
+        assert (tmp_path / "bounds.json").exists()
 
     def test_stats_reports_layout_and_schemas(self, tmp_path):
         store = BoundStore(tmp_path, size_budget="1G")

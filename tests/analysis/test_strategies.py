@@ -6,12 +6,29 @@ import sympy
 from repro.analysis import (
     AnalysisConfig,
     Analyzer,
+    DerivationTask,
+    TaskResult,
     available_strategies,
     get_strategy,
     register_strategy,
     unregister_strategy,
 )
 from repro.polybench import get_kernel
+
+
+class OneTaskStrategy:
+    """Base for test plug-ins: one whole-program task, keyed by name only."""
+
+    name = "test-one-task"
+
+    def plan(self, dfg, config):
+        return [DerivationTask(strategy=self.name, statement="all")]
+
+    def run_task(self, dfg, config, instance, task):
+        return TaskResult(task=task)
+
+    def task_signature(self, config):
+        return (self.name,)
 
 
 class TestRegistry:
@@ -22,18 +39,15 @@ class TestRegistry:
     def test_get_strategy_instantiates(self):
         strategy = get_strategy("kpartition")
         assert strategy.name == "kpartition"
-        assert callable(strategy.derive)
+        assert callable(strategy.run_task)
 
     def test_unknown_strategy_lists_alternatives(self):
         with pytest.raises(KeyError, match="kpartition"):
             get_strategy("definitely-not-registered")
 
     def test_duplicate_registration_rejected(self):
-        class Duplicate:
+        class Duplicate(OneTaskStrategy):
             name = "kpartition"
-
-            def derive(self, dfg, config, instance, log):
-                return []
 
         with pytest.raises(ValueError, match="already registered"):
             register_strategy(Duplicate)
@@ -41,6 +55,47 @@ class TestRegistry:
     def test_factory_without_name_rejected(self):
         with pytest.raises(ValueError, match="name"):
             register_strategy(lambda: None)
+
+    def test_derive_only_strategy_rejected_at_registration(self):
+        """A strategy without the task methods fails when it is registered,
+        naming the missing method, not with an AttributeError mid-run."""
+
+        class DeriveOnly:
+            name = "test-derive-only"
+            derive = lambda self, dfg, config, instance, log: []  # noqa: E731
+
+        with pytest.raises(ValueError, match=r"test-derive-only.*plan\(\)"):
+            register_strategy(DeriveOnly)
+        assert "test-derive-only" not in available_strategies()
+
+        class NoSignature(OneTaskStrategy):
+            name = "test-no-signature"
+            task_signature = None
+
+        with pytest.raises(ValueError, match=r"task_signature\(\)"):
+            register_strategy(NoSignature)
+
+
+    @pytest.mark.parametrize("method", ["plan", "run_task", "task_signature"])
+    def test_each_missing_task_method_is_named(self, method):
+        """Dropping any one of the three task methods is caught at
+        registration, and the error names that method."""
+        missing = type(f"Missing_{method}", (OneTaskStrategy,), {method: None})
+        missing.name = f"test-missing-{method}"
+        with pytest.raises(ValueError, match=rf"{missing.name}.*{method}\(\)"):
+            register_strategy(missing)
+        assert missing.name not in available_strategies()
+
+    def test_non_class_factory_is_checked_on_an_instance(self):
+        """A factory that is not a class is called once and its product
+        checked, so a lambda returning a derive-only object is rejected."""
+
+        class DeriveOnly:
+            derive = lambda self, dfg, config, instance, log: []  # noqa: E731
+
+        with pytest.raises(ValueError, match=r"test-lambda.*plan\(\)"):
+            register_strategy(lambda: DeriveOnly(), name="test-lambda")
+        assert "test-lambda" not in available_strategies()
 
 
 class TestCustomStrategy:
@@ -50,13 +105,12 @@ class TestCustomStrategy:
 
         calls = []
 
-        class NoOpStrategy:
+        class NoOpStrategy(OneTaskStrategy):
             name = "test-noop"
 
-            def derive(self, dfg, config, instance, log):
+            def run_task(self, dfg, config, instance, task):
                 calls.append(dfg.program.name)
-                log.append("noop: nothing derived")
-                return []
+                return TaskResult(task=task, log=["noop: nothing derived"])
 
         register_strategy(NoOpStrategy)
         try:
@@ -72,12 +126,11 @@ class TestCustomStrategy:
         assert sympy.simplify(result.smooth - program.input_size()) == 0
 
     def test_custom_strategy_composes_with_builtins(self):
-        class MarkerStrategy:
+        class MarkerStrategy(OneTaskStrategy):
             name = "test-marker"
 
-            def derive(self, dfg, config, instance, log):
-                log.append("marker ran")
-                return []
+            def run_task(self, dfg, config, instance, task):
+                return TaskResult(task=task, log=["marker ran"])
 
         register_strategy(MarkerStrategy)
         try:

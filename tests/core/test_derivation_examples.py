@@ -8,12 +8,12 @@ on small explicit CDAGs.
 
 import sympy
 
+from repro.analysis import AnalysisConfig, Analyzer
 from repro.core import (
     BROADCAST,
     CHAIN,
     asymptotic_leading,
     coeff_interf,
-    derive_bounds,
     genpaths,
     paths_independent,
     sub_param_q_by_wavefront,
@@ -65,15 +65,42 @@ class TestGenpaths:
         betas = coeff_interf(dfg, paths, domain)
         assert all(beta == 1 for beta in betas)
 
+    def test_path_search_ignores_the_clock(self, example1, gemm, monkeypatch):
+        # No wall-clock deadline: with a clock that jumps 1000 s per read the
+        # search still finds every path, so a path set (and the bound built
+        # on it) is a pure function of the program.
+        import json
+        import time
+
+        from repro.sets import memo
+
+        def path_set(program):
+            paths = genpaths(DFG.from_program(program), "S")
+            return [(p.describe(), p.kind, repr(p.function.exprs), repr(p.domain)) for p in paths]
+
+        def bound_bytes():
+            result = Analyzer(AnalysisConfig(max_depth=0)).analyze(gemm)
+            return json.dumps(result.to_dict(), sort_keys=True)
+
+        memo.clear_all()
+        expected = [path_set(example1), path_set(gemm)]
+        expected_bound = bound_bytes()
+        assert all(expected)
+        ticks = iter(range(0, 10**9, 1000))
+        monkeypatch.setattr(time, "monotonic", lambda: float(next(ticks)))
+        memo.clear_all()
+        assert [path_set(example1), path_set(gemm)] == expected
+        assert bound_bytes() == expected_bound
+
 
 class TestExample1:
     def test_partition_bound_is_mn_over_s(self, example1):
-        result = derive_bounds(example1, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(example1)
         m, n, s = sym("M"), sym("N"), S_SYMBOL
         assert leading_ratio(result.asymptotic, m * n / s, ["M", "N"]) == 1
 
     def test_bound_below_simulated_loads(self, example1):
-        result = derive_bounds(example1, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(example1)
         params = {"M": 8, "N": 10}
         cdag = CDAG.expand(example1, params)
         for capacity in (3, 5, 9):
@@ -86,17 +113,17 @@ class TestExample1:
 
 class TestGemm:
     def test_oi_upper_is_sqrt_s(self, gemm):
-        result = derive_bounds(gemm, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(gemm)
         assert sympy.simplify(result.oi_upper_bound() - sympy.sqrt(S_SYMBOL)) == 0
 
     def test_asymptotic_matches_2n3_over_sqrt_s(self, gemm):
-        result = derive_bounds(gemm, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(gemm)
         ni, nj, nk = sym("Ni"), sym("Nj"), sym("Nk")
         expected = 2 * ni * nj * nk / sympy.sqrt(S_SYMBOL)
         assert sympy.simplify(result.asymptotic / expected) == 1
 
     def test_bound_below_simulated_loads(self, gemm):
-        result = derive_bounds(gemm, max_depth=0)
+        result = Analyzer(AnalysisConfig(max_depth=0)).analyze(gemm)
         params = {"Ni": 6, "Nj": 6, "Nk": 6}
         cdag = CDAG.expand(gemm, params)
         for capacity in (8, 16):
@@ -118,7 +145,7 @@ class TestExample2Wavefront:
         assert difference == 0
 
     def test_full_derivation_dominated_by_mn(self, example2):
-        result = derive_bounds(example2, max_depth=1)
+        result = Analyzer(AnalysisConfig(max_depth=1)).analyze(example2)
         m, n = sym("M"), sym("N")
         assert leading_ratio(result.asymptotic, m * n, ["M", "N"]) == 1
 
@@ -129,7 +156,7 @@ class TestExample2Wavefront:
         assert bound is not None
 
     def test_bound_below_simulated_loads(self, example2):
-        result = derive_bounds(example2, max_depth=1)
+        result = Analyzer(AnalysisConfig(max_depth=1)).analyze(example2)
         params = {"M": 6, "N": 8}
         cdag = CDAG.expand(example2, params)
         simulated = simulate_schedule(
