@@ -49,6 +49,9 @@ class CDAG:
     params: dict[str, int]
     graph: nx.DiGraph = field(default_factory=nx.DiGraph)
     inputs: set[Vertex] = field(default_factory=set)
+    _topological: list[Vertex] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def expand(cls, program: AffineProgram, params: Mapping[str, int]) -> "CDAG":
@@ -111,7 +114,14 @@ class CDAG:
         return result
 
     def topological_order(self) -> list[Vertex]:
-        return list(nx.topological_sort(self.graph))
+        """A topological order of all vertices, sorted once per CDAG.
+
+        The order is kept after the first call, so the graph must be complete
+        by then (:meth:`expand` returns it complete).
+        """
+        if self._topological is None:
+            self._topological = list(nx.topological_sort(self.graph))
+        return list(self._topological)
 
     def reachable_from(self, vertex: Vertex) -> set[Vertex]:
         return set(nx.descendants(self.graph, vertex))

@@ -15,6 +15,7 @@ lower bound (the property the integration tests check).
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 
@@ -42,16 +43,30 @@ class SimulationResult:
 
 
 class _ReplacementPolicy:
-    """Interface for replacement policies over a fully-associative cache."""
+    """Interface for replacement policies over a fully-associative cache.
+
+    ``touch`` is called whenever a value is used or produced, ``evict`` right
+    after the simulator evicts a value, and ``choose_victim`` when fast memory
+    is full: it must return a resident value outside ``protected``.
+    """
 
     def touch(self, vertex: Vertex, time: int) -> None:
         raise NotImplementedError
+
+    def evict(self, vertex: Vertex) -> None:
+        pass
 
     def choose_victim(self, resident: set[Vertex], protected: set[Vertex], time: int) -> Vertex:
         raise NotImplementedError
 
 
 class _LRUPolicy(_ReplacementPolicy):
+    """Least-recently-used replacement.
+
+    ``last_use`` holds exactly the resident values, least recently used
+    first, so a victim is found after skipping at most the protected ones.
+    """
+
     def __init__(self) -> None:
         self.last_use: "OrderedDict[Vertex, int]" = OrderedDict()
 
@@ -59,42 +74,60 @@ class _LRUPolicy(_ReplacementPolicy):
         self.last_use[vertex] = time
         self.last_use.move_to_end(vertex)
 
+    def evict(self, vertex: Vertex) -> None:
+        del self.last_use[vertex]
+
     def choose_victim(self, resident: set[Vertex], protected: set[Vertex], time: int) -> Vertex:
         for vertex in self.last_use:
-            if vertex in resident and vertex not in protected:
-                return vertex
-        # Fall back to any unprotected resident value.
-        for vertex in resident:
             if vertex not in protected:
                 return vertex
         raise RuntimeError("no evictable value: cache too small for one operation")
 
 
 class _BeladyPolicy(_ReplacementPolicy):
-    """Optimal (furthest-next-use) replacement, given the whole schedule."""
+    """Optimal (furthest-next-use) replacement, given the whole schedule.
 
-    def __init__(self, future_uses: dict[Vertex, list[int]]):
+    ``cursor[v]`` indexes the first use of ``v`` not yet reached.  Candidates
+    sit in a lazy max-heap keyed by ``(-next_use, vertex)``, so ties break by
+    vertex order; entries of evicted values, or whose next use has moved on,
+    are dropped when they surface.
+    """
+
+    def __init__(self, future_uses: dict[Vertex, list[int]], never: int):
         self.future_uses = future_uses
+        self.never = never
+        self.cursor: dict[Vertex, int] = {}
+        self.next_use: dict[Vertex, int] = {}
+        self.heap: list[tuple[int, Vertex]] = []
 
     def touch(self, vertex: Vertex, time: int) -> None:
-        uses = self.future_uses.get(vertex)
-        while uses and uses[0] <= time:
-            uses.pop(0)
+        uses = self.future_uses.get(vertex, ())
+        index = self.cursor.get(vertex, 0)
+        while index < len(uses) and uses[index] <= time:
+            index += 1
+        self.cursor[vertex] = index
+        next_use = uses[index] if index < len(uses) else self.never
+        self.next_use[vertex] = next_use
+        heapq.heappush(self.heap, (-next_use, vertex))
 
     def choose_victim(self, resident: set[Vertex], protected: set[Vertex], time: int) -> Vertex:
-        best_vertex = None
-        best_next_use = -1
-        for vertex in resident:
-            if vertex in protected:
+        held = []
+        victim = None
+        while self.heap:
+            entry = heapq.heappop(self.heap)
+            negated_next_use, vertex = entry
+            if vertex not in resident or -negated_next_use != self.next_use[vertex]:
                 continue
-            uses = self.future_uses.get(vertex, [])
-            next_use = uses[0] if uses else float("inf")
-            if next_use > best_next_use:
-                best_next_use = next_use
-                best_vertex = vertex
-        if best_vertex is None:
+            if vertex in protected:
+                held.append(entry)
+                continue
+            victim = vertex
+            break
+        for entry in held:
+            heapq.heappush(self.heap, entry)
+        if victim is None:
             raise RuntimeError("no evictable value: cache too small for one operation")
-        return best_vertex
+        return victim
 
 
 @perf.timed("pebble-sim")
@@ -123,7 +156,7 @@ def simulate_schedule(
         for time, vertex in enumerate(schedule):
             for operand in cdag.graph.predecessors(vertex):
                 future_uses[operand].append(time)
-        replacement = _BeladyPolicy(dict(future_uses))
+        replacement = _BeladyPolicy(dict(future_uses), never=len(schedule))
 
     state = GameState(cdag, capacity)
     evictions = 0
@@ -142,12 +175,14 @@ def simulate_schedule(
             if len(state.red) >= capacity:
                 victim = replacement.choose_victim(state.red, protected, time)
                 state.apply(Move("evict", victim))
+                replacement.evict(victim)
                 evictions += 1
             state.apply(Move("load", operand))
             replacement.touch(operand, time)
         if len(state.red) >= capacity:
             victim = replacement.choose_victim(state.red, protected, time)
             state.apply(Move("evict", victim))
+            replacement.evict(victim)
             evictions += 1
         state.apply(Move("compute", vertex))
         replacement.touch(vertex, time)

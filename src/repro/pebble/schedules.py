@@ -17,19 +17,27 @@ available offline, so we generate schedules directly on the expanded CDAG:
 All generated schedules are checked for validity against the CDAG before use.
 When the requested order violates a dependence (e.g. a rectangular tiling of
 a stencil's time dimension, which is only legal after skewing), the generator
-falls back to a plain topological order.  The fallback is *observable*: the
-returned :class:`Schedule` carries a ``used_fallback`` flag and a
-:class:`TilingFallbackWarning` is emitted, so callers such as the tiling
-search in :mod:`repro.upper` can skip schedules that no longer reflect the
-tiling they asked for instead of scoring a meaningless "tiling".
+falls back to a plain topological order, which each CDAG sorts only once.
+The fallback is *observable*: the returned :class:`Schedule` carries a
+``used_fallback`` flag, a :class:`TilingFallbackWarning` is emitted and the
+``pebble.tiling_fallback`` event of :mod:`repro.perf` is counted, so callers
+such as the tiling search in :mod:`repro.upper` can skip schedules that no
+longer reflect the tiling they asked for instead of scoring a meaningless
+"tiling".
 """
 
 from __future__ import annotations
 
 import warnings
+from operator import floordiv
 from typing import Mapping, Sequence
 
+from .. import perf
 from ..ir import CDAG, Vertex
+
+#: Degradation event: a requested order violated a dependence and a plain
+#: topological order was returned instead.
+TILING_FALLBACK = perf.register_event("pebble.tiling_fallback")
 
 
 class TilingFallbackWarning(UserWarning):
@@ -72,6 +80,7 @@ def _finish(cdag: CDAG, ordered: list[Vertex], requested: str, warn: bool) -> Sc
     """Validate a candidate order, falling back observably when illegal."""
     if cdag.is_valid_schedule(ordered):
         return Schedule(ordered, requested=requested)
+    perf.record_event(TILING_FALLBACK)
     if warn:
         warnings.warn(
             f"{requested} order violates a dependence of {cdag.program.name!r}; "
@@ -126,14 +135,16 @@ def tiled_schedule(
     """
     order = list(statement_order or cdag.program.statements.keys())
     rank = {name: index for index, name in enumerate(order)}
+    # A non-positive edge leaves its dimension untiled, like an edge of 1.
+    edges = {
+        name: tuple(size if size > 0 else 1 for size in sizes)
+        for name, sizes in tile_sizes.items()
+    }
 
     def key(vertex: Vertex):
         name, point = vertex
-        sizes = tile_sizes.get(name, (1,) * len(point))
-        tile_coord = tuple(
-            coordinate // size if size > 0 else coordinate
-            for coordinate, size in zip(point, sizes)
-        )
+        sizes = edges.get(name)
+        tile_coord = point if sizes is None else tuple(map(floordiv, point, sizes))
         return tile_coord, rank.get(name, len(rank)), point
 
     ordered = sorted(cdag.compute_vertices(), key=key)

@@ -4,13 +4,17 @@
 topological order when the requested order violates a dependence; since PR 6
 the fallback is visible (``Schedule.used_fallback`` plus a
 ``TilingFallbackWarning``) so the tiling search can skip schedules that do
-not realise the tiling they were asked for.
+not realise the tiling they were asked for.  Each fallback also counts as
+the ``pebble.tiling_fallback`` event of ``repro.perf``, and a CDAG sorts the
+fallback's topological order only once.
 """
 
 import warnings
 
+import networkx as nx
 import pytest
 
+from repro import perf
 from repro.ir import CDAG, ProgramBuilder
 from repro.pebble import (
     Schedule,
@@ -19,6 +23,8 @@ from repro.pebble import (
     tiled_schedule,
     topological_schedule,
 )
+from repro.polybench import get_kernel
+from repro.upper.search import tile_sizes_for
 
 
 def antidiagonal_program():
@@ -105,3 +111,31 @@ class TestFallbackObservable:
         assert isinstance(schedule, list)
         assert len(schedule) == len(antidiag_cdag.compute_vertices())
         assert schedule[:3] == list(schedule)[:3]
+
+
+def fallback_events(program, instance, shape) -> int:
+    """How many ``pebble.tiling_fallback`` events one tiled schedule records."""
+    cdag = CDAG.expand(program, instance)
+    before = perf.snapshot().event("pebble.tiling_fallback")
+    tiled_schedule(cdag, tile_sizes_for(program, shape), warn=False)
+    return perf.snapshot().event("pebble.tiling_fallback") - before
+
+
+class TestFallbackEvent:
+    def test_time_tiled_stencil_records_the_event(self):
+        program = get_kernel("jacobi-2d").program
+        assert fallback_events(program, {"T": 4, "N": 8}, (2, 4, 4)) > 0
+
+    def test_legal_gemm_tiling_records_nothing(self):
+        program = get_kernel("gemm").program
+        assert fallback_events(program, {"Ni": 6, "Nj": 6, "Nk": 6}, (2, 2, 2)) == 0
+
+    def test_fallback_order_is_sorted_once_per_cdag(self, antidiag_cdag, monkeypatch):
+        calls = []
+        real = nx.topological_sort
+        monkeypatch.setattr(nx, "topological_sort", lambda graph: calls.append(1) or real(graph))
+        first = tiled_schedule(antidiag_cdag, {"S": (2, 2)}, warn=False)
+        second = tiled_schedule(antidiag_cdag, {"S": (4, 2)}, warn=False)
+        assert first.used_fallback and second.used_fallback
+        assert first == second == topological_schedule(antidiag_cdag)
+        assert len(calls) == 1

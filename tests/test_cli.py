@@ -101,6 +101,7 @@ class TestProfile:
         assert "linalg" in names
         assert any(cache["name"] == "linalg.rref" for cache in document["caches"])
         assert document["events"]["linalg.closure_rejected"] == 0
+        assert document["events"]["pebble.tiling_fallback"] == 0
 
     def test_closure_rejections_are_reported(self, capsys):
         # jacobi-2d's kernel lattices blow past the closure cap.

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis import BoundStore
@@ -175,6 +180,33 @@ class TestSearch:
             max_candidates=8, executor="thread", n_jobs=4,
         )
         assert serial.to_dict() == threaded.to_dict()
+
+    def test_result_does_not_depend_on_the_hash_seed(self):
+        """A bound is a pure function of (program, config): string hashing,
+        and so ``set`` iteration order, must not reach the result."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import json\n"
+            "from repro.polybench import get_kernel\n"
+            "from repro.upper import search_upper_bound\n"
+            "result = search_upper_bound(get_kernel('lu').program, {'N': 9},\n"
+            "                            cache_words=16, max_candidates=16, executor='serial')\n"
+            "print(json.dumps(result.to_dict(), sort_keys=True))\n"
+        )
+        documents = []
+        for seed in ("0", "1"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+            env["PYTHONHASHSEED"] = seed
+            documents.append(subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout)
+        assert documents[0] == documents[1]
+        assert '"simulated": true' in documents[0]
 
     def test_unexpandable_instance_yields_none(self):
         spec = get_kernel("gemm")
